@@ -411,9 +411,13 @@ pub fn analytic_samples_per_sec(response: &trainbox_sim::json::Value) -> f64 {
 mod tests {
     use super::*;
 
+    /// Tests run on parallel threads and two of them set and clear
+    /// `TRAINBOX_RESULTS_DIR`; they take turns through this lock.
+    static RESULTS_DIR_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn results_dir_respects_env() {
-        // Serialize access to the env var within this test only.
+        let _env = RESULTS_DIR_ENV.lock().unwrap_or_else(|e| e.into_inner());
         std::env::remove_var("TRAINBOX_RESULTS_DIR");
         assert!(results_dir().is_none());
         std::env::set_var("TRAINBOX_RESULTS_DIR", "/tmp/tb-results");
@@ -465,6 +469,7 @@ mod tests {
 
     #[test]
     fn emit_json_writes_when_configured() {
+        let _env = RESULTS_DIR_ENV.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!("tb-bench-test-{}", std::process::id()));
         std::env::set_var("TRAINBOX_RESULTS_DIR", &dir);
         emit_json("unit-test", &vec![1, 2, 3]);

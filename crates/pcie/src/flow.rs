@@ -16,6 +16,7 @@
 
 use crate::topology::{LinkId, Topology};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use trainbox_sim::{FxHashMap, SimTime, TimeWeighted};
 
 /// Identifier of an active flow in a [`FlowSim`].
@@ -491,8 +492,7 @@ impl LinkDomains {
 /// * within a round every unfrozen flow receives the *same* increment, so a
 ///   link crossed by `k` unfrozen flows ends the round after `k` identical
 ///   subtractions — the result depends only on `k`, not on which flows or in
-///   what order, and the per-member subtraction loop below replays exactly
-///   that chain;
+///   what order, and [`sub_repeat`] computes exactly that chain;
 /// * members of a class have bit-equal rates at every round (same start,
 ///   same increments), so tracking one rate per class loses nothing;
 /// * the round increment is a `min` over link head-rooms and demand gaps,
@@ -549,16 +549,15 @@ fn solve_classes(capacity: &[f64], classes: &[FlowClass], scratch: &mut AllocScr
         let inc = inc.max(0.0);
         // Apply the increment. A link crossed by k unfrozen members takes k
         // identical subtractions — the reference's exact arithmetic chain.
-        for (c, cl) in classes.iter().enumerate() {
-            if scratch.frozen[c] {
-                continue;
+        for c in 0..classes.len() {
+            if !scratch.frozen[c] {
+                scratch.rate[c] += inc;
             }
-            scratch.rate[c] += inc;
-            for l in &cl.route {
-                let r = &mut scratch.residual[l.index()];
-                for _ in 0..cl.members {
-                    *r -= inc;
-                }
+        }
+        for li in 0..n_links {
+            let k = scratch.unfrozen_on[li];
+            if k > 0 {
+                scratch.residual[li] = sub_repeat(scratch.residual[li], inc, k);
             }
         }
         // Freeze: classes at demand, and classes crossing a saturated link.
@@ -592,8 +591,8 @@ fn solve_classes(capacity: &[f64], classes: &[FlowClass], scratch: &mut AllocScr
 /// Bit-identical to [`FlowNet::max_min_rates_ref`] run on the domain's flows
 /// alone, by the same increment-chain argument as [`solve_classes`]: within
 /// a round every unfrozen flow takes the same increment, the round minimum
-/// is exact (no rounding), and per-member repeated subtraction replays the
-/// reference's residual arithmetic. Restricting the round scan to the
+/// is exact (no rounding), and [`sub_repeat`] replays the reference's
+/// residual arithmetic, one chain per link. Restricting the round scan to the
 /// domain's links loses nothing — every link with a nonzero unfrozen count
 /// is in the domain by construction.
 ///
@@ -648,16 +647,16 @@ fn solve_domain(
         }
         let inc = inc.max(0.0);
         for k in 0..n {
-            if ds.frozen[k] {
-                continue;
+            if !ds.frozen[k] {
+                ds.rate[k] += inc;
             }
-            ds.rate[k] += inc;
-            let cl = &classes[ds.class_ids[k]];
-            for l in &cl.route {
-                let r = &mut ds.residual[l.index()];
-                for _ in 0..cl.members {
-                    *r -= inc;
-                }
+        }
+        // One exact chain per link: its `unfrozen_on` members each subtract
+        // the same increment.
+        for &li in &ds.links {
+            let k = ds.unfrozen_on[li];
+            if k > 0 {
+                ds.residual[li] = sub_repeat(ds.residual[li], inc, k);
             }
         }
         const EPS: f64 = 1e-9;
@@ -690,14 +689,90 @@ fn solve_domain(
     }
 }
 
+/// `k` sequential IEEE subtractions `r -= d`, bit for bit, in far fewer than
+/// `k` steps when the chain is long.
+///
+/// Let `r` be positive and normal in the binade `[2^e, 2^(e+1))`, where
+/// doubles are the integer multiples of `u = ulp(r)`. While the exact
+/// difference `r − d` stays inside that binade, round-to-nearest commutes
+/// with shifting by a multiple of `u`, so `fl(r − d) = r − s·u` with `s` the
+/// nearest integer to `d/u` — the *same* rounded step on every iteration.
+/// The in-binade run therefore collapses into one integer subtraction on the
+/// mantissa. Where that argument does not hold the kernel takes single IEEE
+/// subtractions instead: at a binade crossing (it then continues in the
+/// lower binade), when `d/u` has a fraction of exactly one half (the tie
+/// rounds to even, which alternates with the mantissa's parity), when `r` or
+/// `d` is non-positive, subnormal or non-finite, when `d` is not below `r`'s
+/// binade, and for chains too short to pay for the set-up.
+fn sub_repeat(mut r: f64, d: f64, mut k: usize) -> f64 {
+    while k > 0 {
+        match in_binade_run(r, d, k) {
+            Some((next, n)) => (r, k) = (next, k - n),
+            None => (r, k) = (r - d, k - 1),
+        }
+    }
+    r
+}
+
+/// The longest prefix of `k` subtractions `r -= d` that provably stays in
+/// `r`'s binade, as `(result, steps taken)`; `None` where [`sub_repeat`] must
+/// take a single IEEE subtraction.
+fn in_binade_run(r: f64, d: f64, k: usize) -> Option<(f64, usize)> {
+    const FRAC: u64 = (1 << 52) - 1;
+    const HIDDEN: u64 = 1 << 52;
+    if k < 4 || !(r.is_normal() && r > 0.0 && d.is_normal() && d > 0.0) {
+        return None;
+    }
+    // Positive normals have a clear sign bit, so these are the biased
+    // exponents, and `de < re` puts `d` below `r`'s binade.
+    let (rb, db) = (r.to_bits(), d.to_bits());
+    let (re, de) = (rb >> 52, db >> 52);
+    if de >= re {
+        return None;
+    }
+    // r = m·u and d = dm·u / 2^sh, with m in [2^52, 2^53) and sh >= 1.
+    let m = (rb & FRAC) | HIDDEN;
+    let dm = (db & FRAC) | HIDDEN;
+    let sh = re - de;
+    let step = if sh > 54 {
+        0 // d < u/2 with no tie possible: dm < 2^53
+    } else {
+        let rem = dm & ((1 << sh) - 1);
+        let half = 1 << (sh - 1);
+        if rem == half {
+            return None;
+        }
+        (dm >> sh) + u64::from(rem > half)
+    };
+    if step == 0 {
+        // d rounds away on every step, so r never moves — unless r is the
+        // power of two itself, where the grid below is finer.
+        return (m > HIDDEN).then_some((r, k));
+    }
+    // Step i (from 0) is exact while m − (i+1)·step − 1 >= 2^52: the exact
+    // difference is then above 2^52 + 1/2 ulps, inside the binade.
+    let n = ((m - HIDDEN).saturating_sub(1) / step).min(k as u64);
+    (n > 0).then(|| (f64::from_bits((re << 52) | (m - n * step - HIDDEN)), n as usize))
+}
+
+/// The plain chain [`sub_repeat`] must reproduce bit for bit.
+#[cfg(test)]
+fn sub_repeat_ref(mut r: f64, d: f64, k: usize) -> f64 {
+    for _ in 0..k {
+        r -= d;
+    }
+    r
+}
+
+/// One active transfer. [`FlowSim`] keeps these in arrival order, which is
+/// also ascending id order (ids are handed out monotonically).
 #[derive(Debug, Clone)]
 struct ActiveFlow {
-    /// Index into the simulator's class table.
+    id: FlowId,
+    /// Index into the simulator's class table; the flow's rate is
+    /// `class_rate[class]`.
     class: usize,
     remaining: f64,
-    /// Current max-min rate, written in place by `recompute` so the hot
-    /// advance/next-completion loops touch one map instead of two.
-    rate: f64,
 }
 
 /// Event-driven finite-transfer simulator over a [`FlowNet`].
@@ -727,8 +802,14 @@ struct ActiveFlow {
 #[derive(Debug, Clone)]
 pub struct FlowSim {
     net: FlowNet,
-    flows: FxHashMap<FlowId, ActiveFlow>,
-    order: Vec<FlowId>,
+    /// Active flows in arrival order, hence sorted by id: lookup is a binary
+    /// search and the hot loops walk one dense vector.
+    flows: Vec<ActiveFlow>,
+    /// The answer of the last [`FlowSim::next_completion`] scan, valid until
+    /// the next mutation (`None` = not computed). A discrete-event driver
+    /// asks twice per completion — once to schedule the check, once when it
+    /// fires — with nothing in between.
+    next: Cell<Option<Option<(SimTime, FlowId)>>>,
     /// Flow classes (route + demand equivalence); tombstoned slots are
     /// reused so indices stay stable while flows churn.
     classes: Vec<FlowClass>,
@@ -789,8 +870,8 @@ impl FlowSim {
         let n_links = net.link_count();
         FlowSim {
             net,
-            flows: FxHashMap::default(),
-            order: Vec::new(),
+            flows: Vec::new(),
+            next: Cell::new(None),
             classes: Vec::new(),
             class_index: FxHashMap::default(),
             free_classes: Vec::new(),
@@ -957,29 +1038,23 @@ impl FlowSim {
             return;
         }
         self.dirty = false;
+        self.next.set(None);
         self.recomputes += 1;
         self.solve_dirty_domains();
-        for id in &self.order {
-            // invariant: `order` and `flows` are mutated together (add_flow
-            // pushes both, complete removes both), so every ordered id is
-            // present in the map.
-            let f = self.flows.get_mut(id).expect("ordered flow is active");
-            f.rate = self.class_rate[f.class];
-        }
         if self.trace {
             let mut min_rate = f64::INFINITY;
             let mut max_rate = 0.0f64;
-            for id in &self.order {
-                let r = self.flows[id].rate;
+            for f in &self.flows {
+                let r = self.class_rate[f.class];
                 min_rate = min_rate.min(r);
                 max_rate = max_rate.max(r);
             }
-            if self.order.is_empty() {
+            if self.flows.is_empty() {
                 min_rate = 0.0;
             }
             self.trace_log.push(FlowTraceEvent {
                 at: self.now,
-                active: self.order.len(),
+                active: self.flows.len(),
                 min_rate,
                 max_rate,
             });
@@ -992,10 +1067,10 @@ impl FlowSim {
         // as the per-flow reference, so the statistics match bit for bit).
         self.scratch.load.clear();
         self.scratch.load.resize(self.net.capacity.len(), 0.0);
-        for id in &self.order {
-            let f = &self.flows[id];
+        for f in &self.flows {
+            let rate = self.class_rate[f.class];
             for l in &self.classes[f.class].route {
-                self.scratch.load[l.index()] += f.rate;
+                self.scratch.load[l.index()] += rate;
             }
         }
         for (li, load) in self.scratch.load.iter().enumerate() {
@@ -1066,8 +1141,8 @@ impl FlowSim {
                 // two modes stay bit-identical on every history.
                 let mut cids = Vec::new();
                 let mut specs = Vec::new();
-                for id in &self.order {
-                    let c = self.flows[id].class;
+                for f in &self.flows {
+                    let c = f.class;
                     let cl = &self.classes[c];
                     if cl.route.is_empty() {
                         continue;
@@ -1104,8 +1179,8 @@ impl FlowSim {
     fn assert_domain_matches_reference(&mut self, root: usize) {
         let mut cids = Vec::new();
         let mut specs = Vec::new();
-        for id in &self.order {
-            let c = self.flows[id].class;
+        for f in &self.flows {
+            let c = f.class;
             let cl = &self.classes[c];
             if cl.route.is_empty() {
                 continue;
@@ -1160,9 +1235,10 @@ impl FlowSim {
         assert!(now >= self.now, "FlowSim cannot go backwards in time");
         let dt = (now - self.now).as_secs_f64();
         if dt > 0.0 {
-            for f in self.flows.values_mut() {
-                f.remaining = (f.remaining - f.rate * dt).max(0.0);
+            for f in &mut self.flows {
+                f.remaining = (f.remaining - self.class_rate[f.class] * dt).max(0.0);
             }
+            self.next.set(None);
         }
         self.now = now;
     }
@@ -1180,8 +1256,7 @@ impl FlowSim {
         let id = FlowId(self.next_id);
         self.next_id += 1;
         let class = self.intern_class(spec);
-        self.flows.insert(id, ActiveFlow { class, remaining: bytes, rate: 0.0 });
-        self.order.push(id);
+        self.flows.push(ActiveFlow { id, class, remaining: bytes });
         self.recompute();
         id
     }
@@ -1225,27 +1300,102 @@ impl FlowSim {
 
     /// Remaining bytes of a flow (`None` if unknown/completed).
     pub fn remaining(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.remaining)
+        self.find(id).map(|i| self.flows[i].remaining)
     }
 
     /// Current rate of a flow in bytes/s (`None` if unknown).
     pub fn rate(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.rate)
+        self.find(id).map(|i| self.class_rate[self.flows[i].class])
+    }
+
+    /// Position of an active flow in the arrival-ordered table.
+    fn find(&self, id: FlowId) -> Option<usize> {
+        self.flows.binary_search_by_key(&id, |f| f.id).ok()
     }
 
     /// The earliest `(time, flow)` completion under current rates, if any
     /// flow is active. Ties break toward the earliest-started flow.
+    ///
+    /// Two passes over plain f64s instead of one [`SimTime`] conversion per
+    /// flow. Pass 1 finds the first flow with the smallest time-to-finish
+    /// `dt`; pass 2 returns the first flow before it in arrival order whose
+    /// `dt` converts to the same picosecond, or that flow itself. Because `SimTime::from_secs_f64` and `+` are monotone,
+    /// that is exactly the flow a per-flow scan keeping the first strict
+    /// minimum of `now + from_secs_f64(dt)` returns — including when a later
+    /// flow's `dt` is smaller by less than the rounding of one picosecond.
+    /// The result is cached until the next mutation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some flow's finish time is not a valid [`SimTime`] (NaN,
+    /// negative, infinite or past the representable range) — the same
+    /// condition under which a per-flow conversion panics.
     pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
+        if let Some(cached) = self.next.get() {
+            return cached;
+        }
+        let next = self.scan_next_completion();
+        self.next.set(Some(next));
+        next
+    }
+
+    /// Time-to-finish of `f` in seconds, if it is draining at all.
+    fn finish_dt(&self, f: &ActiveFlow) -> Option<f64> {
+        let rate = self.class_rate[f.class];
+        (rate > 0.0).then(|| f.remaining / rate)
+    }
+
+    fn scan_next_completion(&self) -> Option<(SimTime, FlowId)> {
+        // Pass 1: the first flow with the smallest time-to-finish, and the
+        // largest time-to-finish.
+        let (mut lo, mut hi, mut nan, mut first) = (f64::INFINITY, f64::NEG_INFINITY, false, 0);
+        for (i, f) in self.flows.iter().enumerate() {
+            let Some(dt) = self.finish_dt(f) else { continue };
+            if dt < lo {
+                (lo, first) = (dt, i);
+            }
+            hi = hi.max(dt);
+            nan |= dt.is_nan();
+        }
+        assert!(!nan, "invalid duration: NaN");
+        if hi == f64::NEG_INFINITY {
+            return None; // no flow is draining
+        }
+        // Conversion is monotone, so converting the extremes checks every
+        // flow: the earliest is a valid duration, the latest fits after `now`.
+        let target = SimTime::from_secs_f64(lo);
+        if hi > lo {
+            let _ = self.now + SimTime::from_secs_f64(hi);
+        }
+        // Pass 2: an earlier-started flow wins the tie if its larger `dt`
+        // still converts to `target`'s picosecond. Such a `dt` lies below
+        // `lo` + 1 ps up to a few ulps of rounding, which the 1e-12 relative
+        // margin of the prefilter covers many times over.
+        let cut = (lo + 1e-12) * (1.0 + 1e-12);
+        let winner = self.flows[..first]
+            .iter()
+            .find(|f| {
+                self.finish_dt(f)
+                    .is_some_and(|dt| dt <= cut && SimTime::from_secs_f64(dt) == target)
+            })
+            .unwrap_or(&self.flows[first]);
+        Some((self.now + target, winner.id))
+    }
+
+    /// The tie rule spelled out as a per-flow scan, the oracle for
+    /// [`FlowSim::next_completion`]: keep the first strict minimum of the
+    /// converted finish time in arrival order.
+    #[cfg(test)]
+    fn next_completion_ref(&self) -> Option<(SimTime, FlowId)> {
         let mut best: Option<(SimTime, FlowId)> = None;
-        for id in &self.order {
-            let f = &self.flows[id];
-            if f.rate <= 0.0 {
+        for f in &self.flows {
+            let rate = self.class_rate[f.class];
+            if rate <= 0.0 {
                 continue;
             }
-            let dt = f.remaining / f.rate;
-            let t = self.now + SimTime::from_secs_f64(dt);
+            let t = self.now + SimTime::from_secs_f64(f.remaining / rate);
             if best.is_none_or(|(bt, _)| t < bt) {
-                best = Some((t, *id));
+                best = Some((t, f.id));
             }
         }
         best
@@ -1259,11 +1409,11 @@ impl FlowSim {
     /// Panics if `id` is not active or `now` is in the past.
     pub fn complete(&mut self, now: SimTime, id: FlowId) {
         self.advance(now);
-        let Some(flow) = self.flows.remove(&id) else {
+        let Some(i) = self.find(id) else {
             panic!("unknown flow {id:?}")
         };
+        let flow = self.flows.remove(i);
         self.release_class(flow.class);
-        self.order.retain(|&f| f != id);
         self.recompute();
     }
 
@@ -1670,6 +1820,118 @@ mod tests {
         );
     }
 
+    #[test]
+    fn next_completion_prefers_the_earlier_flow_within_a_picosecond() {
+        // Two flows in different classes finish 0.3 ps apart; the later-
+        // started one is the smaller in f64, but both convert to the same
+        // picosecond, so the tie goes to the earlier-started flow. An argmin
+        // over the raw f64 finish times would pick `b`.
+        let net = FlowNet::from_capacities(vec![1e9, 1e9]);
+        let mut sim = FlowSim::new(net);
+        let a = sim.add_flow(SimTime::ZERO, FlowSpec::new(vec![link(0)]), 1e6 + 3e-4);
+        let b = sim.add_flow(SimTime::ZERO, FlowSpec::new(vec![link(1)]), 1e6);
+        let (ra, rb) = (sim.rate(a).unwrap(), sim.rate(b).unwrap());
+        let (da, db) = (sim.remaining(a).unwrap() / ra, sim.remaining(b).unwrap() / rb);
+        assert!(db < da && (da - db) * 1e12 < 0.5, "set-up: {da} vs {db}");
+        assert_eq!(sim.next_completion(), Some((SimTime::from_millis(1), a)));
+        assert_eq!(sim.next_completion(), sim.next_completion_ref());
+    }
+
+    #[test]
+    fn sub_repeat_matches_the_plain_chain_on_adversarial_inputs() {
+        let ulp = |x: f64| f64::from_bits(x.to_bits() + 1) - x;
+        let p2 = 1024.0f64;
+        let above = f64::from_bits(p2.to_bits() + 1);
+        let u = ulp(3.0);
+        let cases = [
+            // r exactly at a power of two, and one ulp above it.
+            (p2, 1e-3, 100_000),
+            (p2, ulp(p2) * 0.3, 1_000),
+            (above, ulp(p2) * 0.3, 1_000),
+            (above, 1e-3, 100_000),
+            // d with a fraction of exactly half an ulp of r (a tie), and one
+            // and a half ulps.
+            (3.0, u * 0.5, 1_000),
+            (3.0, u * 1.5, 1_000),
+            (3.0 + u, u * 2.5, 1_000),
+            // d below half an ulp: r must not move.
+            (3.0, u * 0.49, 100_000),
+            (3.0, f64::MIN_POSITIVE, 10),
+            // Chains that land exactly on the power of two with d/u just
+            // above the rounded step: the last in-binade subtraction's exact
+            // result falls below 2^e, where the grid is finer.
+            (p2 + 10.0 * ulp(p2), 1.3 * ulp(p2), 100),
+            (p2 + 12.0 * ulp(p2), 3.25 * ulp(p2), 100),
+            (p2 + 12.0 * ulp(p2), 3.2 * ulp(p2), 100),
+            // d larger than r; a chain driven through zero.
+            (3.0, 5.0, 50),
+            (1e9, 1e9 / 7.0, 20),
+            (1e9, 1e9 / 100_000.0, 100_000),
+            // r non-positive, subnormal, non-finite.
+            (0.0, 1e-3, 10),
+            (-0.0, 1e-3, 10),
+            (-5.0, 1e-3, 10),
+            (f64::MIN_POSITIVE / 4.0, f64::MIN_POSITIVE / 64.0, 100),
+            (f64::INFINITY, 1.0, 10),
+            (f64::NAN, 1.0, 10),
+            // d = 0 and k = 0.
+            (3.0, 0.0, 10),
+            (3.0, -0.0, 10),
+            (-0.0, 0.0, 10),
+            (3.0, 1e-3, 0),
+        ];
+        for (r, d, k) in cases {
+            let (fast, plain) = (sub_repeat(r, d, k), sub_repeat_ref(r, d, k));
+            assert_eq!(fast.to_bits(), plain.to_bits(), "r={r} d={d} k={k}: {fast} vs {plain}");
+        }
+        assert_eq!(sub_repeat(3.0, u * 0.49, 100_000), 3.0, "sub-half-ulp d leaves r");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The batched residual kernel is the plain chain, bit for bit, on
+        /// chains that cross many binades on their way toward zero.
+        #[test]
+        fn sub_repeat_matches_the_plain_chain(
+            r in 1e-9f64..1e12,
+            frac in 0.0f64..2.0,
+            k in 0usize..100_000,
+        ) {
+            let d = r * frac / k.max(1) as f64;
+            prop_assert_eq!(sub_repeat(r, d, k).to_bits(), sub_repeat_ref(r, d, k).to_bits());
+        }
+
+        /// Chains that start a whole number of rounded steps above a power
+        /// of two, with every fraction of an ulp in the step, so the run
+        /// ends exactly at the binade edge.
+        #[test]
+        fn sub_repeat_matches_the_plain_chain_at_binade_edges(
+            e in -40i32..40,
+            steps in 1u64..2_000,
+            step in 1u64..64,
+            frac in 0.0f64..1.0,
+            extra in 0usize..200,
+        ) {
+            let u = 2f64.powi(e - 52);
+            let r = (((1u64 << 52) + steps * step) as f64) * u;
+            let d = (step as f64 - 0.5 + frac) * u;
+            let k = steps as usize + extra;
+            prop_assert_eq!(sub_repeat(r, d, k).to_bits(), sub_repeat_ref(r, d, k).to_bits());
+        }
+
+        /// Arbitrary bit patterns, NaN, infinities and subnormals included.
+        #[test]
+        fn sub_repeat_matches_the_plain_chain_on_any_bits(
+            rb in any::<u64>(),
+            db in any::<u64>(),
+            k in 0usize..2_000,
+        ) {
+            let (r, d) = (f64::from_bits(rb), f64::from_bits(db));
+            prop_assert_eq!(sub_repeat(r, d, k).to_bits(), sub_repeat_ref(r, d, k).to_bits());
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1714,10 +1976,12 @@ mod tests {
         }
 
         /// An interleaved add/complete/degrade history produces the same
-        /// completions under the fast and reference allocators.
+        /// completions under the fast and reference allocators, and the
+        /// two-pass next completion agrees with the per-flow scan after every
+        /// operation. Adds outnumber completions, so classes hold many flows.
         #[test]
         fn flow_sim_histories_match_reference(
-            ops in proptest::collection::vec((0u8..3, 0u32..4, 1u64..1_000_000), 1..30),
+            ops in proptest::collection::vec((0u8..5, 0u32..4, 1u64..1_000_000), 1..80),
         ) {
             let run = |reference: bool| {
                 let net = FlowNet::from_capacities(vec![1e9, 2e9, 0.5e9, 1e9]);
@@ -1727,7 +1991,7 @@ mod tests {
                 for &(op, l, v) in &ops {
                     t += SimTime::from_nanos(v % 977);
                     match op {
-                        0 => {
+                        0 | 3 => {
                             let _ = sim.add_flow(
                                 t,
                                 FlowSpec::new(vec![link(l), link((l + 1) % 4)]),
@@ -1740,10 +2004,12 @@ mod tests {
                                 t = ct.max(t);
                             }
                         }
-                        _ => {
+                        2 => {
                             sim.set_capacity(t, link(l), 0.25e9 + v as f64);
                         }
+                        _ => sim.set_capacities(t, &[]), // advance only
                     }
+                    prop_assert_eq!(sim.next_completion(), sim.next_completion_ref());
                 }
                 let mut done = sim.drain();
                 done.truncate(64);
