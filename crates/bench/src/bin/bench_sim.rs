@@ -49,12 +49,13 @@ const PRE_PR_FIGURE_MS: &[(&str, f64)] = &[
 ];
 
 /// The figure/table binaries of `scripts/reproduce.sh`, in the same order
-/// (keep the two lists in sync).
+/// (a test keeps the two lists in sync).
 const FIGURE_BINS: &[&str] = &[
     "table01", "fig02b", "fig03", "fig05", "fig08", "fig09", "fig10", "fig11",
     "table02", "table03", "fig19", "fig20", "fig21", "fig21_cluster", "fig22",
     "ablation_ring", "ablation_boxes", "ablation_nextgen", "ablation_prepnet",
     "ablation_prefetch", "batch_lr", "scale_up_vs_out", "ablation_faults",
+    "ablation_sync",
 ];
 
 fn sim_cfg(reference_allocator: bool) -> SimConfig {
@@ -570,4 +571,16 @@ fn run() {
         speedup_vs_pre_pr: speedup,
     };
     emit_json("bench_sim", &results);
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn figure_bins_match_reproduce_script() {
+        let script = include_str!("../../../../scripts/reproduce.sh");
+        let start = script.find("bins=(").expect("reproduce.sh declares bins=(...)") + 6;
+        let len = script[start..].find(')').expect("the bins list is closed");
+        let bins: Vec<&str> = script[start..start + len].split_whitespace().collect();
+        assert_eq!(bins, super::FIGURE_BINS);
+    }
 }

@@ -5,7 +5,7 @@
 //! fewer lanes, accelerators drop off the ring, and prep requests time out.
 //! This module describes such faults as a *plan* — a seeded, fully
 //! deterministic schedule of typed events — that
-//! [`crate::pipeline::simulate_with_faults`] replays against the
+//! [`crate::pipeline::try_simulate_traced_deadline`] replays against the
 //! discrete-event datapath. The simulator then exercises the degraded
 //! modes: preparation work is rebalanced across surviving devices (greedy
 //! water-filling, the discrete analogue of max-min fairness), the

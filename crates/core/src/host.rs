@@ -78,11 +78,11 @@ pub struct PerSampleUsage {
 }
 
 impl PerSampleUsage {
-    /// Usage of one sample of `input` under `path` — the legacy
-    /// modality-keyed entry point, equivalent to profiling the input's
-    /// calibration.
+    /// Usage of one sample of `input` under `path`: the Table-I preset
+    /// graph of that modality, profiled.
     pub fn new(path: Datapath, input: InputKind) -> PerSampleUsage {
-        PerSampleUsage::of_profile(path, &PrepProfile::of_input(input))
+        let graph = crate::profile::lower_legacy(input);
+        PerSampleUsage::of_profile(path, &PrepProfile::of_graph(input, &graph))
     }
 
     /// Usage of one sample whose preparation is described by `profile`,

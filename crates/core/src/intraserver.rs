@@ -33,7 +33,7 @@ use std::marker::PhantomData;
 use std::time::Instant;
 
 use crate::arch::{Server, ServerKind};
-use crate::faults::{FaultKind, FaultPlan};
+use crate::faults::{FaultDowntime, FaultKind, FaultPlan, FaultStats};
 use crate::pipeline::{DesFailure, Ev, PipelineModel, SimConfig, SimResult};
 use crate::scaleout::{merge_fault_stats, ClusterLp, LpOffer, CLUSTER_TRACK_STRIDE};
 use trainbox_nn::Workload;
@@ -130,8 +130,7 @@ impl LanePartition {
 
     /// The sub-plan lane `lane` replays: exactly the events it owns, same
     /// retry policy. Filtering preserves order, and every event lands in
-    /// exactly one lane, so the merged fault statistics equal the solo
-    /// path's.
+    /// exactly one lane (see [`LanePartition::merge_faults`]).
     fn plan_for_lane(&self, plan: &FaultPlan, lane: usize) -> FaultPlan {
         FaultPlan {
             events: plan
@@ -142,6 +141,30 @@ impl LanePartition {
                 .collect(),
             retry: plan.retry,
         }
+    }
+
+    /// Merge the lanes' fault statistics into what one engine over the whole
+    /// server reports. Counters add. Each lane logs one downtime entry per
+    /// injected fault in its sub-plan's firing order, which is the whole
+    /// plan's firing order ([`FaultPlan::sorted_events`]) restricted to the
+    /// lane; ranking every entry by its event's place in that order restores
+    /// the single engine's injection order.
+    fn merge_faults(&self, plan: &FaultPlan, mut per_lane: Vec<FaultStats>) -> FaultStats {
+        let mut ranks = vec![Vec::new(); self.lanes];
+        for (rank, ev) in plan.sorted_events().iter().enumerate() {
+            if let Some(lane) = self.fault_owner(ev.kind) {
+                ranks[lane].push(rank);
+            }
+        }
+        let mut downtime: Vec<(usize, FaultDowntime)> = per_lane
+            .iter_mut()
+            .zip(&ranks)
+            .flat_map(|(s, r)| r.iter().copied().zip(std::mem::take(&mut s.downtime)))
+            .collect();
+        downtime.sort_by_key(|&(rank, _)| rank);
+        let mut merged = merge_fault_stats(per_lane);
+        merged.downtime = downtime.into_iter().map(|(_, d)| d).collect();
+        merged
     }
 }
 
@@ -269,7 +292,8 @@ pub(crate) fn simulate_lanes_traced_deadline<T: ForkTracer + Send>(
         Ok(stats) => stats,
         Err(error) => {
             let events = lps.iter().map(|lp| lp.engine.events_processed()).sum();
-            let partial = merge_fault_stats(
+            let partial = part.merge_faults(
+                plan,
                 lps.iter().map(|lp| lp.engine.model().fault_stats().clone()).collect(),
             );
             return Err(DesFailure { error, events, partial_faults: partial });
@@ -321,7 +345,7 @@ pub(crate) fn simulate_lanes_traced_deadline<T: ForkTracer + Send>(
         .sum();
 
     let mut faults =
-        merge_fault_stats(models.iter().map(|m| m.fault_stats().clone()).collect());
+        part.merge_faults(plan, models.iter().map(|m| m.fault_stats().clone()).collect());
     // Lane mode excludes permanent losses, but keep the solo path's NaN
     // resolution so the accounting can never diverge.
     let end = last.as_secs_f64();
@@ -483,12 +507,13 @@ mod tests {
             ..SimConfig::default()
         };
         let t_sync = server.ring_model().allreduce_time(w.model_bytes(), 8);
-        let (result, _) = crate::pipeline::try_simulate_traced(
+        let (result, _) = crate::pipeline::try_simulate_traced_deadline(
             &server,
             &w,
             &cfg,
             &FaultPlan::empty(),
             trainbox_sim::NoopTracer,
+            None,
         )
         .expect("run completes");
         assert_eq!(result.batch_done_at.len(), 4);
@@ -497,6 +522,54 @@ mod tests {
                 pair[1] >= pair[0].saturating_add(t_sync),
                 "generations must be separated by the ring sync"
             );
+        }
+    }
+
+    #[test]
+    fn lane_runner_reports_what_the_single_engine_reports() {
+        // The lane runner must give the same answer as one engine over the
+        // whole server, fault downtime in injection order included. Only
+        // `events` may differ: lanes also count their barrier events.
+        use crate::pipeline::simulate_single_engine;
+        use trainbox_sim::NoopTracer;
+        let w = Workload::resnet50();
+        let cfg = SimConfig {
+            chunk_samples: 128,
+            batches: 4,
+            warmup_batches: 1,
+            max_events: 5_000_000,
+            ..SimConfig::default()
+        };
+        let json = |mut r: SimResult| {
+            r.events = 0;
+            serde_json::to_string(&r).expect("SimResult serializes")
+        };
+        for n in [8, 16] {
+            let server = trainbox_nopool(n);
+            let last = n / ACCELS_PER_LANE - 1;
+            let (healthy, _) =
+                simulate_single_engine(&server, &w, &cfg, &FaultPlan::empty(), NoopTracer, None)
+                    .expect("healthy run completes");
+            let end = healthy.batch_done_at.last().expect("batches").as_secs_f64();
+            // Lane-local faults whose injection order interleaves the lanes,
+            // with a cross-lane tie at one instant that plan order breaks.
+            let storm = FaultPlan::empty()
+                .at(end * 0.4, FaultKind::SsdStall { ssd: 0, secs: end * 0.1 })
+                .at(end * 0.2, FaultKind::SsdStall { ssd: last, secs: end * 0.1 })
+                .at(end * 0.5, FaultKind::PrepSlowdown { dev: last, factor: 0.5, secs: end * 0.1 })
+                .at(end * 0.5, FaultKind::PrepSlowdown { dev: 0, factor: 0.5, secs: end * 0.2 });
+            for plan in [FaultPlan::empty(), storm] {
+                let part = LanePartition::of(&server, &plan).expect("lane-local plan partitions");
+                let (lanes, _, _) = simulate_lanes_traced_deadline(
+                    &server, &w, &cfg, &plan, &part, NoopTracer, None,
+                )
+                .expect("lane run completes");
+                let (solo, _) = simulate_single_engine(&server, &w, &cfg, &plan, NoopTracer, None)
+                    .expect("single-engine run completes");
+                assert_eq!(lanes.faults.injected, plan.events.len() as u64);
+                let faults = plan.events.len();
+                assert_eq!(json(lanes), json(solo), "{n} accelerators, {faults} faults");
+            }
         }
     }
 }

@@ -24,7 +24,7 @@ use trainbox_pcie::boxes::{PrepPoolNet, ServerTopology};
 use trainbox_pcie::flow::{FlowId, FlowNet, FlowSim, FlowSpec};
 use trainbox_pcie::{LinkId, NodeId};
 use trainbox_sim::{
-    Component, Engine, EventKey, FifoServer, ForkTracer, FxHashMap, Model, NoopTracer, Scheduler,
+    Component, Engine, EventKey, FifoServer, ForkTracer, FxHashMap, Model, Scheduler,
     SimError, SimTime, Tracer,
 };
 
@@ -480,9 +480,10 @@ pub(crate) struct PipelineModel<T: Tracer> {
     model_bytes: u64,
     faults: FaultRuntime,
 
-    /// Structured trace sink. With [`NoopTracer`] every hook below guards on
-    /// `enabled()` (a constant `false`) and monomorphizes to nothing, so the
-    /// untraced simulation is bit-identical to the pre-trace code.
+    /// Structured trace sink. With [`trainbox_sim::NoopTracer`] every hook
+    /// below guards on `enabled()` (a constant `false`) and monomorphizes to
+    /// nothing, so the untraced simulation is bit-identical to the pre-trace
+    /// code.
     tracer: T,
     /// Start instant of each in-flight PCIe flow (span endpoints; populated
     /// only while the tracer is enabled). Kept separate from the Ethernet
@@ -1585,126 +1586,6 @@ pub fn fault_domain(server: &Server) -> FaultDomain {
     }
 }
 
-/// Simulate `workload` on `server` and report steady-state throughput.
-///
-/// Equivalent to [`simulate_with_faults`] with the empty plan: the fault
-/// layer is strictly additive, so this produces exactly the fault-free
-/// behavior (and an all-zero [`FaultStats`]).
-///
-/// # Panics
-///
-/// Panics if `cfg.batches <= cfg.warmup_batches`, or if the simulation
-/// stalls (queue drains or `cfg.max_events` is exceeded before the requested
-/// batches complete).
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `request::SimRequest` with `SimMode::Des` and call `run()`"
-)]
-pub fn simulate(server: &Server, workload: &Workload, cfg: &SimConfig) -> SimResult {
-    #[allow(deprecated)]
-    simulate_with_faults(server, workload, cfg, &FaultPlan::empty())
-}
-
-/// Simulate `workload` on `server` while replaying `plan`'s faults, and
-/// report achieved throughput plus degraded-mode accounting.
-///
-/// The run is deterministic: the same `(server, workload, cfg, plan)`
-/// produces the identical result, and an empty plan reproduces
-/// [`simulate`] exactly.
-///
-/// Degraded modes exercised here:
-///
-/// * crashed prep devices have their queued and future work re-dispatched
-///   max-min fairly (greedy water-filling) over the survivors;
-/// * dropped accelerators leave the barrier, and the synchronization ring
-///   re-forms over the survivors at the smaller ring's latency;
-/// * degraded links reshape every transfer's max-min fair rate until they
-///   recover;
-/// * transiently failing prep requests retry with exponential backoff and,
-///   after `plan.retry.max_retries`, re-read their chunk from the SSD.
-///
-/// # Panics
-///
-/// Panics on an invalid plan (see [`FaultPlan::validate`]), if every prep
-/// device or accelerator is lost, or under the conditions of [`simulate`].
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `request::SimRequest` with `SimMode::Des` and a fault plan, then call `run()`"
-)]
-pub fn simulate_with_faults(
-    server: &Server,
-    workload: &Workload,
-    cfg: &SimConfig,
-    plan: &FaultPlan,
-) -> SimResult {
-    match try_simulate_traced(server, workload, cfg, plan, NoopTracer) {
-        Ok((result, _)) => result,
-        Err(e) => panic!(
-            "simulation ended without completing {} batches: {e}",
-            cfg.batches
-        ),
-    }
-}
-
-/// [`try_simulate_traced`] that panics on failure, returning the result and
-/// the tracer. Convenience for the figure binaries' `--trace` path.
-///
-/// # Panics
-///
-/// Under the conditions of [`simulate_with_faults`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `request::SimRequest::run_des_with_tracer`, which returns typed errors"
-)]
-pub fn simulate_traced<T: ForkTracer + Send>(
-    server: &Server,
-    workload: &Workload,
-    cfg: &SimConfig,
-    plan: &FaultPlan,
-    tracer: T,
-) -> (SimResult, T) {
-    match try_simulate_traced(server, workload, cfg, plan, tracer) {
-        Ok(out) => out,
-        Err(e) => panic!(
-            "simulation ended without completing {} batches: {e}",
-            cfg.batches
-        ),
-    }
-}
-
-/// Run the DES with a caller-supplied [`Tracer`] attached and report
-/// failures as typed errors instead of panicking.
-///
-/// The tracer observes the simulation — span events for every pipeline
-/// stage (SSD reads, transfers, preparation, compute), collective
-/// synchronization steps, fault injections, and flow-rate counters — but
-/// never affects it: the traced run produces a [`SimResult`] identical to
-/// the untraced one. With [`NoopTracer`] every hook monomorphizes away.
-///
-/// Returns the result together with the tracer (so a
-/// [`trainbox_sim::RingTracer`]'s records can be exported).
-///
-/// # Errors
-///
-/// [`SimError::Stalled`] if the event queue drains or `cfg.max_events` is
-/// exceeded before the requested batches complete; [`SimError::TimeOverflow`]
-/// if simulated time overflows [`SimTime::MAX`].
-///
-/// # Panics
-///
-/// Panics on invalid input — `cfg.batches <= cfg.warmup_batches` or an
-/// invalid fault plan (see [`FaultPlan::validate`]) — and if every prep
-/// device or accelerator is lost to faults.
-pub fn try_simulate_traced<T: ForkTracer + Send>(
-    server: &Server,
-    workload: &Workload,
-    cfg: &SimConfig,
-    plan: &FaultPlan,
-    tracer: T,
-) -> Result<(SimResult, T), SimError> {
-    try_simulate_traced_deadline(server, workload, cfg, plan, tracer, None).map_err(|f| f.error)
-}
-
 /// Why a deadline-aware DES run could not complete, with whatever the fault
 /// layer had observed by then. The partial statistics let a timed-out
 /// request report *how degraded* the simulated server already was instead
@@ -1727,25 +1608,53 @@ impl std::fmt::Display for DesFailure {
 
 impl std::error::Error for DesFailure {}
 
-/// [`try_simulate_traced`] under an optional wall-clock deadline.
+/// Simulate `workload` on `server` while replaying `plan`'s faults, with a
+/// caller-supplied [`Tracer`] attached and under an optional wall-clock
+/// deadline, and report achieved throughput plus degraded-mode accounting.
+/// This is the DES entry point; [`crate::request::SimRequest::run`] builds
+/// its arguments from a request.
 ///
-/// With `deadline: None` this is exactly the untimed path — same event
-/// order, byte-identical results. With a deadline, the engine checks the
-/// wall clock cooperatively (every [`Engine::DEADLINE_CHECK_INTERVAL`]
-/// events for a `PipelineModel`) and cancels the run once it expires;
-/// failures carry the partial [`FaultStats`] so callers can surface what
-/// the run had already observed.
+/// The run is deterministic: the same `(server, workload, cfg, plan)`
+/// produces the identical result, and an empty plan produces the
+/// fault-free behavior (with an all-zero [`FaultStats`]). Degraded modes
+/// exercised here:
+///
+/// * crashed prep devices have their queued and future work re-dispatched
+///   max-min fairly (greedy water-filling) over the survivors;
+/// * dropped accelerators leave the barrier, and the synchronization ring
+///   re-forms over the survivors at the smaller ring's latency;
+/// * degraded links reshape every transfer's max-min fair rate until they
+///   recover;
+/// * transiently failing prep requests retry with exponential backoff and,
+///   after `plan.retry.max_retries`, re-read their chunk from the SSD.
+///
+/// The tracer observes the simulation — span events for every pipeline
+/// stage (SSD reads, transfers, preparation, compute), collective
+/// synchronization steps, fault injections, and flow-rate counters — but
+/// never affects it: the traced run produces a [`SimResult`] identical to
+/// the untraced one. With [`trainbox_sim::NoopTracer`] every hook
+/// monomorphizes away. The tracer is returned with the result so a
+/// [`trainbox_sim::RingTracer`]'s records can be exported.
+///
+/// With `deadline: None` the run is untimed. With a deadline, the engine
+/// checks the wall clock cooperatively (every
+/// [`Engine::DEADLINE_CHECK_INTERVAL`] events for a `PipelineModel`) and
+/// cancels the run once it expires — byte-identical results when it does
+/// not.
 ///
 /// # Errors
 ///
-/// A [`DesFailure`] wrapping [`SimError::DeadlineExceeded`] when the
-/// deadline expires, or [`SimError::Stalled`] / [`SimError::TimeOverflow`]
-/// under the conditions of [`try_simulate_traced`].
+/// A [`DesFailure`] carrying the partial [`FaultStats`] and wrapping
+/// [`SimError::DeadlineExceeded`] when the deadline expires,
+/// [`SimError::Stalled`] if the event queue drains or `cfg.max_events` is
+/// exceeded before the requested batches complete, or
+/// [`SimError::TimeOverflow`] if simulated time overflows [`SimTime::MAX`].
 ///
 /// # Panics
 ///
-/// Under the conditions of [`try_simulate_traced`] (invalid config or
-/// fault plan).
+/// Panics on invalid input — `cfg.batches <= cfg.warmup_batches` or an
+/// invalid fault plan (see [`FaultPlan::validate`]) — and if every prep
+/// device or accelerator is lost to faults.
 pub fn try_simulate_traced_deadline<T: ForkTracer + Send>(
     server: &Server,
     workload: &Workload,
@@ -1755,24 +1664,35 @@ pub fn try_simulate_traced_deadline<T: ForkTracer + Send>(
     deadline: Option<std::time::Instant>,
 ) -> Result<(SimResult, T), DesFailure> {
     assert!(cfg.batches > cfg.warmup_batches, "need batches after warmup");
-    // Tenanted workloads get their interference decomposition attached to
-    // whichever path produced the result.
-    let attach = |mut result: SimResult| {
-        if !workload.tenants.is_empty() {
-            result.tenancy =
-                Some(TenancyStats::of(server, &workload.tenants, result.samples_per_sec));
-        }
-        result
-    };
     // Eligible configurations always run lane-partitioned — the partition is
     // part of the canonical result, chosen from `(server, plan)` alone, and
     // `cfg.parallel_workers` only picks how many threads advance the lanes.
-    if let Some(part) = crate::intraserver::LanePartition::of(server, plan) {
-        return crate::intraserver::simulate_lanes_traced_deadline(
+    let (mut result, tracer) = match crate::intraserver::LanePartition::of(server, plan) {
+        Some(part) => crate::intraserver::simulate_lanes_traced_deadline(
             server, workload, cfg, plan, &part, tracer, deadline,
         )
-        .map(|(result, tracer, _stats)| (attach(result), tracer));
+        .map(|(result, tracer, _stats)| (result, tracer))?,
+        None => simulate_single_engine(server, workload, cfg, plan, tracer, deadline)?,
+    };
+    // Tenanted workloads get their interference decomposition attached to
+    // whichever path produced the result.
+    if !workload.tenants.is_empty() {
+        result.tenancy = Some(TenancyStats::of(server, &workload.tenants, result.samples_per_sec));
     }
+    Ok((result, tracer))
+}
+
+/// The body of [`try_simulate_traced_deadline`] on one [`Engine`] for the
+/// whole server, lane partition or not: the reference the lane runner is
+/// tested against.
+pub(crate) fn simulate_single_engine<T: Tracer>(
+    server: &Server,
+    workload: &Workload,
+    cfg: &SimConfig,
+    plan: &FaultPlan,
+    tracer: T,
+    deadline: Option<std::time::Instant>,
+) -> Result<(SimResult, T), DesFailure> {
     let model = PipelineModel::new(server, workload, cfg, plan, tracer);
     let mut engine = Engine::new(model);
     engine.schedule_at(SimTime::ZERO, Ev::Start);
@@ -1843,7 +1763,7 @@ pub fn try_simulate_traced_deadline<T: ForkTracer + Send>(
         faults: stats,
         tenancy: None,
     };
-    Ok((attach(result), m.tracer))
+    Ok((result, m.tracer))
 }
 
 /// Diagnostic entry for benchmarks: if `(server, plan)` is eligible for the
@@ -1859,8 +1779,8 @@ pub fn try_simulate_traced_deadline<T: ForkTracer + Send>(
 ///
 /// # Panics
 ///
-/// Under the conditions of [`try_simulate_traced`], or if the lane run
-/// fails (benchmarks run healthy, deadline-free configurations).
+/// Under the conditions of [`try_simulate_traced_deadline`], or if the lane
+/// run fails (benchmarks run healthy, deadline-free configurations).
 pub fn intra_server_run_stats(
     server: &Server,
     workload: &Workload,
@@ -1883,13 +1803,9 @@ pub fn intra_server_run_stats(
 
 #[cfg(test)]
 mod tests {
-    // The deprecated `simulate*` wrappers are exercised deliberately: they
-    // must keep producing byte-identical results to the canonical
-    // `SimRequest` path for as long as they exist.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::arch::ServerConfig;
+    use trainbox_sim::NoopTracer;
 
     fn quick_cfg() -> SimConfig {
         SimConfig {
@@ -1903,10 +1819,17 @@ mod tests {
         }
     }
 
+    /// Run the DES to completion, untraced and untimed.
+    fn des(server: &Server, w: &Workload, cfg: &SimConfig, plan: &FaultPlan) -> SimResult {
+        try_simulate_traced_deadline(server, w, cfg, plan, NoopTracer, None)
+            .unwrap_or_else(|f| panic!("run failed after {} events: {f}", f.events))
+            .0
+    }
+
     /// Build a scaled-down server: n accelerators, reduced batch.
     fn sim_tp(kind: ServerKind, n: usize, w: &Workload, batch: u64) -> f64 {
         let server = ServerConfig::new(kind, n).batch_size(batch).build();
-        simulate(&server, w, &quick_cfg()).samples_per_sec
+        des(&server, w, &quick_cfg(), &FaultPlan::empty()).samples_per_sec
     }
 
     fn analytic_tp(kind: ServerKind, n: usize, w: &Workload, batch: u64) -> f64 {
@@ -1985,7 +1908,7 @@ mod tests {
         let server = ServerConfig::new(ServerKind::Baseline, 8)
             .batch_size(256)
             .build();
-        let r = simulate(&server, &w, &quick_cfg());
+        let r = des(&server, &w, &quick_cfg(), &FaultPlan::empty());
         assert_eq!(r.batch_done_at.len(), 8);
         for w in r.batch_done_at.windows(2) {
             assert!(w[1] > w[0]);
@@ -2002,13 +1925,13 @@ mod tests {
         let base_server = ServerConfig::new(ServerKind::Baseline, 16)
             .batch_size(512)
             .build();
-        let base = simulate(&base_server, &w, &quick_cfg());
+        let base = des(&base_server, &w, &quick_cfg(), &FaultPlan::empty());
         assert!(base.rc_bytes > 0.0);
         assert!(base.rc_share() > 0.3, "rc share {}", base.rc_share());
         let tb_server = ServerConfig::new(ServerKind::TrainBoxNoPool, 16)
             .batch_size(512)
             .build();
-        let tb = simulate(&tb_server, &w, &quick_cfg());
+        let tb = des(&tb_server, &w, &quick_cfg(), &FaultPlan::empty());
         assert_eq!(tb.rc_bytes, 0.0, "clustered prep traffic must stay in-box");
         assert!(tb.link_bytes.iter().sum::<f64>() > 0.0, "data did move");
     }
@@ -2021,7 +1944,7 @@ mod tests {
         let cfg = quick_cfg();
         let run = |kind| {
             let s = ServerConfig::new(kind, 16).batch_size(512).build();
-            let r = simulate(&s, &w, &cfg);
+            let r = des(&s, &w, &cfg, &FaultPlan::empty());
             r.rc_bytes / (cfg.batches as f64 * 16.0 * 512.0)
         };
         let base = run(ServerKind::Baseline);
@@ -2036,8 +1959,8 @@ mod tests {
         let server = ServerConfig::new(ServerKind::TrainBoxNoPool, 8)
             .batch_size(256)
             .build();
-        let a = simulate(&server, &w, &quick_cfg());
-        let b = simulate(&server, &w, &quick_cfg());
+        let a = des(&server, &w, &quick_cfg(), &FaultPlan::empty());
+        let b = des(&server, &w, &quick_cfg(), &FaultPlan::empty());
         assert_eq!(a, b);
     }
 
@@ -2050,14 +1973,16 @@ mod tests {
         let server = ServerConfig::new(ServerKind::TrainBoxNoPool, 16)
             .batch_size(512)
             .build();
-        let plain = simulate(&server, &w, &quick_cfg());
-        let (traced, tracer) = simulate_traced(
+        let plain = des(&server, &w, &quick_cfg(), &FaultPlan::empty());
+        let (traced, tracer) = try_simulate_traced_deadline(
             &server,
             &w,
             &quick_cfg(),
             &FaultPlan::empty(),
             RingTracer::new(1 << 20),
-        );
+            None,
+        )
+        .expect("traced run completes");
         assert_eq!(plain, traced);
         let records = tracer.into_records();
         assert!(!records.is_empty());
@@ -2083,7 +2008,7 @@ mod tests {
         let server = ServerConfig::new(ServerKind::TrainBoxNoPool, 16)
             .batch_size(512)
             .build();
-        let probe = simulate(&server, &w, &quick_cfg());
+        let probe = des(&server, &w, &quick_cfg(), &FaultPlan::empty());
         let horizon = probe.batch_done_at.last().unwrap().as_secs_f64();
         let domain = crate::faults::FaultDomain {
             n_ssds: 4,
@@ -2093,9 +2018,16 @@ mod tests {
             horizon_secs: horizon,
         };
         let plan = FaultPlan::seeded(7, 4.0 / horizon, &domain);
-        let plain = simulate_with_faults(&server, &w, &quick_cfg(), &plan);
-        let (traced, tracer) =
-            simulate_traced(&server, &w, &quick_cfg(), &plan, RingTracer::new(1 << 20));
+        let plain = des(&server, &w, &quick_cfg(), &plan);
+        let (traced, tracer) = try_simulate_traced_deadline(
+            &server,
+            &w,
+            &quick_cfg(),
+            &plan,
+            RingTracer::new(1 << 20),
+            None,
+        )
+        .expect("traced run completes");
         assert_eq!(plain, traced);
         let injected = tracer
             .records()
@@ -2106,15 +2038,15 @@ mod tests {
 
     #[test]
     fn exhausted_event_budget_is_a_typed_stall() {
-        use trainbox_sim::{NoopTracer, SimError};
         let w = Workload::inception_v4();
         let server = ServerConfig::new(ServerKind::TrainBoxNoPool, 16)
             .batch_size(512)
             .build();
         let cfg = SimConfig { max_events: 50, ..quick_cfg() };
-        let err = try_simulate_traced(&server, &w, &cfg, &FaultPlan::empty(), NoopTracer)
-            .expect_err("50 events cannot complete 8 batches");
-        assert!(matches!(err, SimError::Stalled { events: 50, .. }), "{err:?}");
+        let err =
+            try_simulate_traced_deadline(&server, &w, &cfg, &FaultPlan::empty(), NoopTracer, None)
+                .expect_err("50 events cannot complete 8 batches");
+        assert!(matches!(err.error, SimError::Stalled { events: 50, .. }), "{err:?}");
     }
 
     proptest::proptest! {
@@ -2136,7 +2068,7 @@ mod tests {
                 [kind_idx];
             let server = ServerConfig::new(kind, 8).batch_size(256).build();
             let cfg = SimConfig { batches: 6, warmup_batches: 2, ..quick_cfg() };
-            let probe = simulate(&server, &w, &cfg);
+            let probe = des(&server, &w, &cfg, &FaultPlan::empty());
             let horizon = probe.batch_done_at.last().unwrap().as_secs_f64();
             let domain = crate::faults::FaultDomain {
                 n_ssds: server.topology().ssds.len(),
@@ -2146,9 +2078,11 @@ mod tests {
                 horizon_secs: horizon,
             };
             let plan = FaultPlan::seeded(seed, faults_per_run as f64 / horizon, &domain);
-            let plain = simulate_with_faults(&server, &w, &cfg, &plan);
+            let plain = des(&server, &w, &cfg, &plan);
+            let tracer = RingTracer::new(1 << 18);
             let (traced, tracer) =
-                simulate_traced(&server, &w, &cfg, &plan, RingTracer::new(1 << 18));
+                try_simulate_traced_deadline(&server, &w, &cfg, &plan, tracer, None)
+                    .expect("traced run completes");
             proptest::prop_assert_eq!(plain, traced);
             proptest::prop_assert!(tracer.records().next().is_some());
         }
@@ -2170,11 +2104,11 @@ mod tests {
             parallel_workers: 0,
         };
         let no_pool = ServerConfig::new(ServerKind::TrainBoxNoPool, 16).build();
-        let without = simulate(&no_pool, &w, &cfg).samples_per_sec;
+        let without = des(&no_pool, &w, &cfg, &FaultPlan::empty()).samples_per_sec;
         let with_pool = ServerConfig::new(ServerKind::TrainBox, 16)
             .pool_fpgas(8)
             .build();
-        let with = simulate(&with_pool, &w, &cfg).samples_per_sec;
+        let with = des(&with_pool, &w, &cfg, &FaultPlan::empty()).samples_per_sec;
         assert!(
             with > without * 1.2,
             "pool should raise simulated throughput: {without} -> {with}"
@@ -2191,20 +2125,18 @@ mod tests {
         let w = Workload::resnet50();
         let server = ServerConfig::new(ServerKind::Baseline, 8).build();
         let cfg = SimConfig { batches: 2, warmup_batches: 2, ..quick_cfg() };
-        simulate(&server, &w, &cfg);
+        des(&server, &w, &cfg, &FaultPlan::empty());
     }
 
     #[test]
     fn empty_fault_plan_reproduces_the_fault_free_run() {
-        // The fault layer must be strictly additive: an empty plan yields
-        // the identical result, counters and all.
+        // The fault layer must be strictly additive: an empty plan counts
+        // nothing and discounts nothing.
         let w = Workload::inception_v4();
         let server = ServerConfig::new(ServerKind::TrainBoxNoPool, 16)
             .batch_size(512)
             .build();
-        let plain = simulate(&server, &w, &quick_cfg());
-        let faulted = simulate_with_faults(&server, &w, &quick_cfg(), &FaultPlan::empty());
-        assert_eq!(plain, faulted);
+        let plain = des(&server, &w, &quick_cfg(), &FaultPlan::empty());
         assert_eq!(plain.faults.injected, 0);
         assert_eq!(plain.faults.wasted_samples, 0);
         assert_eq!(plain.faults.goodput_samples_per_sec, plain.samples_per_sec);
@@ -2217,7 +2149,7 @@ mod tests {
         let server = ServerConfig::new(ServerKind::TrainBoxNoPool, 16)
             .batch_size(512)
             .build();
-        let probe = simulate(&server, &w, &quick_cfg());
+        let probe = des(&server, &w, &quick_cfg(), &FaultPlan::empty());
         let horizon = probe.batch_done_at.last().unwrap().as_secs_f64();
         let domain = crate::faults::FaultDomain {
             n_ssds: 4,
@@ -2228,8 +2160,8 @@ mod tests {
         };
         let plan = FaultPlan::seeded(42, 6.0 / horizon, &domain);
         assert!(!plan.is_empty());
-        let a = simulate_with_faults(&server, &w, &quick_cfg(), &plan);
-        let b = simulate_with_faults(&server, &w, &quick_cfg(), &plan);
+        let a = des(&server, &w, &quick_cfg(), &plan);
+        let b = des(&server, &w, &quick_cfg(), &plan);
         assert_eq!(a, b);
         assert_eq!(a.faults.injected, plan.events.len() as u64);
     }
@@ -2247,7 +2179,7 @@ mod tests {
         for acc in 8..16 {
             plan = plan.at(1e-9, FaultKind::AccelDropout { acc });
         }
-        let r = simulate_with_faults(&server, &w, &quick_cfg(), &plan);
+        let r = des(&server, &w, &quick_cfg(), &plan);
         assert_eq!(r.faults.accels_lost, 8);
         assert!(r.faults.wasted_samples > 0, "in-flight data to dead devices is wasted");
         let ana = analytic_tp(ServerKind::TrainBoxNoPool, 8, &w, 512);
@@ -2273,10 +2205,10 @@ mod tests {
         let server = ServerConfig::new(ServerKind::TrainBoxNoPool, 16)
             .batch_size(512)
             .build();
-        let healthy = simulate(&server, &w, &quick_cfg());
+        let healthy = des(&server, &w, &quick_cfg(), &FaultPlan::empty());
         let horizon = healthy.batch_done_at.last().unwrap().as_secs_f64();
         let plan = FaultPlan::empty().at(horizon * 0.25, FaultKind::PrepCrash { dev: 0 });
-        let r = simulate_with_faults(&server, &w, &quick_cfg(), &plan);
+        let r = des(&server, &w, &quick_cfg(), &plan);
         assert_eq!(r.faults.preps_lost, 1);
         assert_eq!(r.batch_done_at.len(), quick_cfg().batches as usize);
         assert!(
@@ -2293,14 +2225,14 @@ mod tests {
         // for the whole run: the simulated throughput must drop.
         let w = Workload::inception_v4();
         let server = ServerConfig::new(ServerKind::Baseline, 16).batch_size(512).build();
-        let healthy = simulate(&server, &w, &quick_cfg());
+        let healthy = des(&server, &w, &quick_cfg(), &FaultPlan::empty());
         let mut hot: Vec<usize> = (0..healthy.link_bytes.len()).collect();
         hot.sort_by(|&a, &b| healthy.link_bytes[b].total_cmp(&healthy.link_bytes[a]));
         let mut plan = FaultPlan::empty();
         for &link in hot.iter().take(4) {
             plan = plan.at(0.0, FaultKind::LinkDegrade { link, fraction: 0.02, secs: 1e3 });
         }
-        let r = simulate_with_faults(&server, &w, &quick_cfg(), &plan);
+        let r = des(&server, &w, &quick_cfg(), &plan);
         assert!(
             r.samples_per_sec < healthy.samples_per_sec * 0.9,
             "degraded {} vs healthy {}",
@@ -2315,14 +2247,14 @@ mod tests {
         // the run completes and later batches proceed at full pace.
         let w = Workload::inception_v4();
         let server = ServerConfig::new(ServerKind::Baseline, 16).batch_size(512).build();
-        let healthy = simulate(&server, &w, &quick_cfg());
+        let healthy = des(&server, &w, &quick_cfg(), &FaultPlan::empty());
         let hot = (0..healthy.link_bytes.len())
             .max_by(|&a, &b| healthy.link_bytes[a].total_cmp(&healthy.link_bytes[b]))
             .unwrap();
         let window = healthy.batch_done_at[0].as_secs_f64();
         let plan = FaultPlan::empty()
             .at(0.0, FaultKind::LinkDegrade { link: hot, fraction: 0.05, secs: window });
-        let r = simulate_with_faults(&server, &w, &quick_cfg(), &plan);
+        let r = des(&server, &w, &quick_cfg(), &plan);
         assert!(r.batch_done_at[0] >= healthy.batch_done_at[0]);
         assert_eq!(r.batch_done_at.len(), healthy.batch_done_at.len());
     }
@@ -2335,14 +2267,14 @@ mod tests {
         let server = ServerConfig::new(ServerKind::TrainBoxNoPool, 8)
             .batch_size(512)
             .build();
-        let healthy = simulate(&server, &w, &quick_cfg());
+        let healthy = des(&server, &w, &quick_cfg(), &FaultPlan::empty());
         let horizon = healthy.batch_done_at.last().unwrap().as_secs_f64();
         let plan = FaultPlan::empty()
             .at(0.0, FaultKind::PrepTransient { dev: 0, secs: horizon * 0.3 });
-        let r = simulate_with_faults(&server, &w, &quick_cfg(), &plan);
+        let r = des(&server, &w, &quick_cfg(), &plan);
         assert!(r.faults.retries > 0, "flaky device must force retries");
         assert_eq!(r.batch_done_at.len(), quick_cfg().batches as usize);
-        let again = simulate_with_faults(&server, &w, &quick_cfg(), &plan);
+        let again = des(&server, &w, &quick_cfg(), &plan);
         assert_eq!(r, again);
     }
 
@@ -2355,13 +2287,13 @@ mod tests {
         let server = ServerConfig::new(ServerKind::TrainBoxNoPool, 16)
             .batch_size(512)
             .build();
-        let healthy = simulate(&server, &w, &quick_cfg());
+        let healthy = des(&server, &w, &quick_cfg(), &FaultPlan::empty());
         let horizon = healthy.batch_done_at.last().unwrap().as_secs_f64();
         let mut plan = FaultPlan::empty();
         for ssd in 0..4 {
             plan = plan.at(0.0, FaultKind::SsdStall { ssd, secs: horizon });
         }
-        let r = simulate_with_faults(&server, &w, &quick_cfg(), &plan);
+        let r = des(&server, &w, &quick_cfg(), &plan);
         assert!(
             *r.batch_done_at.last().unwrap() > *healthy.batch_done_at.last().unwrap(),
             "stalled SSDs must delay the run"
@@ -2373,7 +2305,7 @@ mod tests {
     fn prep_slowdown_throttles_a_prep_bound_workload() {
         let w = Workload::transformer_sr();
         let server = ServerConfig::new(ServerKind::TrainBoxNoPool, 16).build();
-        let healthy = simulate(&server, &w, &quick_cfg());
+        let healthy = des(&server, &w, &quick_cfg(), &FaultPlan::empty());
         let horizon = healthy.batch_done_at.last().unwrap().as_secs_f64();
         // Quarter every FPGA for far longer than the run: TF-SR is
         // prep-bound at this scale, so the measured window sees the full
@@ -2383,7 +2315,7 @@ mod tests {
             plan = plan
                 .at(0.0, FaultKind::PrepSlowdown { dev, factor: 0.25, secs: horizon * 20.0 });
         }
-        let r = simulate_with_faults(&server, &w, &quick_cfg(), &plan);
+        let r = des(&server, &w, &quick_cfg(), &plan);
         assert!(
             r.samples_per_sec < healthy.samples_per_sec * 0.6,
             "throttled {} vs healthy {}",
@@ -2398,6 +2330,6 @@ mod tests {
         let w = Workload::resnet50();
         let server = ServerConfig::new(ServerKind::Baseline, 8).build();
         let plan = FaultPlan::empty().at(0.0, FaultKind::AccelDropout { acc: 99 });
-        simulate_with_faults(&server, &w, &quick_cfg(), &plan);
+        des(&server, &w, &quick_cfg(), &plan);
     }
 }

@@ -7,9 +7,9 @@
 //! ([`trainbox_nn::StageGraph`]) lets a workload *describe* its preparation
 //! instead of being keyed by modality, so the lookups now converge here:
 //!
-//! * a **legacy** workload (no stage graph) profiles exactly as before —
-//!   every field is the calibration value for its [`InputKind`], bit for
-//!   bit;
+//! * a **Table-I preset** (no stage graph) profiles the graph
+//!   [`lower_legacy`] gives its [`InputKind`], so every field is that
+//!   modality's calibration value, bit for bit;
 //! * a workload with a **stage graph** takes sizes, per-class CPU seconds,
 //!   the aggregate CPU cost, and device rates from the graph, while memory
 //!   traffic and the CPU-time *decomposition fractions* stay
@@ -20,12 +20,10 @@
 //!   sample stream, so per-sample costs mix linearly and device rates mix
 //!   harmonically.
 //!
-//! [`lower_legacy`] makes the first rule checkable: it lowers a Table-I
-//! preset onto the DSL carrying the calibrated values verbatim (raw
-//! per-class products, declared aggregates), so profiling the lowered graph
-//! reproduces the legacy profile **byte-identically** — pinned by the
-//! `workload_dsl_equivalence` test and re-checked in CI by regenerating
-//! every figure with `TRAINBOX_LOWER_PRESETS=1`.
+//! [`lower_legacy`] carries the calibrated values verbatim (raw per-class
+//! products, declared aggregates), so a lowered preset profiles
+//! **byte-identically** to its calibration — pinned by this module's tests,
+//! the `workload_dsl_equivalence` test, and every committed figure.
 
 use crate::calib::{
     baseline_mem_bytes_per_sample, cpu_fractions, cpu_secs_per_sample, fpga_samples_per_sec,
@@ -56,46 +54,16 @@ pub struct PrepProfile {
 }
 
 impl PrepProfile {
-    /// The profile of `workload`: tenants blend, stage graphs lower, flat
-    /// workloads calibrate by modality (optionally routed through
-    /// [`lower_legacy`] when `TRAINBOX_LOWER_PRESETS=1`, the CI
-    /// equivalence check).
+    /// The profile of `workload`: tenants blend, and every other workload
+    /// profiles its stage graph — for a Table-I preset, the one
+    /// [`lower_legacy`] gives its modality.
     pub fn of(workload: &Workload) -> PrepProfile {
         if !workload.tenants.is_empty() {
             return PrepProfile::blended(&workload.tenants);
         }
         match &workload.stages {
             Some(graph) => PrepProfile::of_graph(workload.input, graph),
-            None => {
-                if lower_presets_forced() {
-                    PrepProfile::of_graph(workload.input, &lower_legacy(workload))
-                } else {
-                    PrepProfile::of_input(workload.input)
-                }
-            }
-        }
-    }
-
-    /// The legacy modality-calibrated profile — exactly the values the
-    /// pre-DSL code read straight out of `crate::calib`.
-    pub fn of_input(input: InputKind) -> PrepProfile {
-        let c = cpu_secs_per_sample(input);
-        let f = cpu_fractions(input);
-        PrepProfile {
-            sizes: SampleSizes::for_input(input),
-            cpu_secs_per_sample: c,
-            cpu: Breakdown {
-                ssd_read: c * f.ssd_read,
-                formatting: c * f.formatting,
-                augmentation: c * f.augmentation,
-                data_load: c * f.data_load,
-                data_copy: 0.0,
-                others: c * f.others,
-            },
-            fractions: f,
-            mem: baseline_mem_bytes_per_sample(input),
-            fpga_samples_per_sec: fpga_samples_per_sec(input),
-            gpu_samples_per_sec: gpu_prep_samples_per_sec(input),
+            None => PrepProfile::of_graph(workload.input, &lower_legacy(workload.input)),
         }
     }
 
@@ -206,18 +174,11 @@ impl PrepProfile {
     }
 }
 
-/// `TRAINBOX_LOWER_PRESETS=1` forces every flat workload through
-/// [`lower_legacy`] before profiling — the CI regen job sets it and
-/// re-diffs all committed figures, which pins the lowering's
-/// byte-identity end to end.
-fn lower_presets_forced() -> bool {
-    std::env::var("TRAINBOX_LOWER_PRESETS").map(|v| v == "1").unwrap_or(false)
-}
-
-/// Lower a flat (legacy) workload onto the stage-graph DSL.
+/// Lower a flat (Table-I) workload of modality `input` onto the
+/// stage-graph DSL.
 ///
 /// The lowering carries the calibration **verbatim** so that profiling the
-/// result reproduces the legacy profile bit for bit:
+/// result reproduces the calibrated profile bit for bit:
 ///
 /// * one stage per operation class, whose `HostCpuSecs` cost is the raw
 ///   product `cpu_secs_per_sample(input) × fraction(class)` — the exact
@@ -226,8 +187,7 @@ fn lower_presets_forced() -> bool {
 ///   `bytes_out` the tensor size (both integral by calibration);
 /// * the aggregate CPU cost and both device rates are *declared* rather
 ///   than re-derived, because `Σ (c × fᵢ)` is not bitwise `c`.
-pub fn lower_legacy(workload: &Workload) -> StageGraph {
-    let input = workload.input;
+pub fn lower_legacy(input: InputKind) -> StageGraph {
     let sizes = SampleSizes::for_input(input);
     let c = cpu_secs_per_sample(input);
     let f = cpu_fractions(input);
@@ -314,31 +274,38 @@ mod tests {
 
     #[test]
     fn lowered_legacy_profiles_bit_identically_for_every_preset() {
+        // A flat preset profiles to exactly the values the pre-DSL code read
+        // straight out of `crate::calib`.
         for w in Workload::presets() {
-            if !w.tenants.is_empty() {
-                continue; // tenanted presets blend, they don't lower
+            if w.stages.is_some() || !w.tenants.is_empty() {
+                continue;
             }
-            let legacy = if w.stages.is_some() {
-                // DSL presets already carry a graph; `of` must use it.
-                PrepProfile::of(&w)
-            } else {
-                PrepProfile::of_input(w.input)
+            let (c, f) = (cpu_secs_per_sample(w.input), cpu_fractions(w.input));
+            let calibrated = PrepProfile {
+                sizes: SampleSizes::for_input(w.input),
+                cpu_secs_per_sample: c,
+                cpu: Breakdown {
+                    ssd_read: c * f.ssd_read,
+                    formatting: c * f.formatting,
+                    augmentation: c * f.augmentation,
+                    data_load: c * f.data_load,
+                    data_copy: 0.0,
+                    others: c * f.others,
+                },
+                fractions: f,
+                mem: baseline_mem_bytes_per_sample(w.input),
+                fpga_samples_per_sec: fpga_samples_per_sec(w.input),
+                gpu_samples_per_sec: gpu_prep_samples_per_sec(w.input),
             };
-            let lowered = PrepProfile::of_graph(w.input, &lower_legacy(&w));
-            if w.stages.is_none() {
-                assert_eq!(bits(&legacy), bits(&lowered), "profile diverged for {}", w.name);
-            } else {
-                // Graph-carrying presets: the lowering reflects the flat
-                // calibration, not the graph — only sanity-check them.
-                assert!(lowered.cpu_secs_per_sample > 0.0);
-            }
+            let p = PrepProfile::of(&w);
+            assert_eq!(bits(&p), bits(&calibrated), "profile diverged for {}", w.name);
         }
     }
 
     #[test]
     fn lowered_graphs_validate() {
         for w in Workload::all() {
-            let g = lower_legacy(&w);
+            let g = lower_legacy(w.input);
             let rebuilt = Workload::builder(w.name.clone())
                 .kind(w.kind)
                 .input(w.input)

@@ -4,9 +4,8 @@
 //! sustain on server S, analytically or under the DES, with or without a
 //! fault storm?" — is one [`SimRequest`] answered by [`SimRequest::run`].
 //! The figure binaries, the test suites, and the `trainbox-serve` HTTP
-//! service all speak this one type; the three historical `simulate*` free
-//! functions in [`crate::pipeline`] are thin deprecated wrappers over the
-//! same engine path.
+//! service all speak this one type; a DES request runs
+//! [`crate::pipeline::try_simulate_traced_deadline`].
 //!
 //! # Canonical form and content hashing
 //!
@@ -747,7 +746,7 @@ pub fn workload_catalog_json() -> String {
         .map(|w| {
             let lowered = match &w.stages {
                 Some(g) => g.to_json(),
-                None if w.tenants.is_empty() => crate::profile::lower_legacy(&w).to_json(),
+                None if w.tenants.is_empty() => crate::profile::lower_legacy(w.input).to_json(),
                 None => Json::Null,
             };
             Json::Object(vec![

@@ -1,23 +1,19 @@
-//! Property tests: [`SimRequest::run`] answers every question exactly as
-//! the legacy free functions it replaced.
-//!
-//! The request API is the one canonical entry point; the deprecated
-//! `simulate`/`simulate_with_faults` wrappers and the direct
-//! `Server::throughput` path must remain behaviorally identical to it —
+//! Property tests: [`SimRequest::run`] builds the same server, workload and
+//! plan a direct call would, so it answers every question exactly as
+//! `Server::throughput` and `pipeline::try_simulate_traced_deadline` do —
 //! same `SimResult` field for field, same `Throughput` — across all three
 //! server kinds, or cached service answers would diverge from the figure
 //! binaries that produced `results/`.
 
-#![allow(deprecated)]
-
 use proptest::prelude::any;
 use proptest::proptest;
 use proptest::test_runner::ProptestConfig;
-use trainbox_core::arch::ServerKind;
+use trainbox_core::arch::{Server, ServerKind};
 use trainbox_core::faults::{FaultDomain, FaultPlan};
-use trainbox_core::pipeline::{simulate, simulate_with_faults, SimConfig};
+use trainbox_core::pipeline::{try_simulate_traced_deadline, SimConfig, SimResult};
 use trainbox_core::request::{SimOutcome, SimRequest};
 use trainbox_nn::Workload;
+use trainbox_sim::NoopTracer;
 
 const KINDS: [ServerKind; 3] =
     [ServerKind::Baseline, ServerKind::TrainBoxNoPool, ServerKind::TrainBox];
@@ -42,12 +38,19 @@ fn des_request(kind: ServerKind, n_accels: usize, batch: u64) -> SimRequest {
     req
 }
 
-fn des_result(req: &SimRequest) -> trainbox_core::pipeline::SimResult {
+fn des_result(req: &SimRequest) -> SimResult {
     let resp = req.run().unwrap_or_else(|e| panic!("request must run: {e}"));
     match resp.outcome {
         SimOutcome::Des(result) => result,
         other => panic!("DES request produced a non-DES outcome: {other:?}"),
     }
+}
+
+/// The DES answer of a direct call, bypassing the request layer.
+fn direct(server: &Server, w: &Workload, plan: &FaultPlan) -> SimResult {
+    try_simulate_traced_deadline(server, w, &quick_cfg(), plan, NoopTracer, None)
+        .unwrap_or_else(|f| panic!("direct run must complete: {f}"))
+        .0
 }
 
 proptest! {
@@ -75,10 +78,10 @@ proptest! {
         proptest::prop_assert_eq!(resp.config_hash, req.hash_hex());
     }
 
-    /// Fault-free DES: `run()` reproduces the deprecated `simulate` result
-    /// exactly across kinds, scales, and batch sizes.
+    /// Fault-free DES: `run()` reproduces the direct call's result exactly
+    /// across kinds, scales, and batch sizes.
     #[test]
-    fn des_run_equals_legacy_simulate(
+    fn des_run_equals_direct_simulation(
         kind_idx in 0usize..3,
         n_idx in 0usize..3,
         batch_idx in 0usize..2,
@@ -88,8 +91,8 @@ proptest! {
         let batch = [256u64, 512][batch_idx];
         let req = des_request(kind, n, batch);
         let server = req.build_server().expect("valid configuration");
-        let legacy = simulate(&server, &Workload::inception_v4(), &quick_cfg());
-        proptest::prop_assert_eq!(des_result(&req), legacy);
+        let want = direct(&server, &Workload::inception_v4(), &FaultPlan::empty());
+        proptest::prop_assert_eq!(des_result(&req), want);
     }
 
     /// A deadline the run comfortably beats changes NOTHING: the timed
@@ -116,10 +119,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Faulted DES: for ANY seeded storm, attaching the plan to the request
-    /// reproduces the deprecated `simulate_with_faults` result exactly —
-    /// degraded-mode accounting included.
+    /// reproduces the direct call's result exactly — degraded-mode
+    /// accounting included.
     #[test]
-    fn faulted_des_run_equals_legacy_simulate_with_faults(
+    fn faulted_des_run_equals_direct_simulation(
         seed in any::<u64>(),
         kind_idx in 0usize..3,
         faults_per_run in 0u64..8,
@@ -131,7 +134,7 @@ proptest! {
 
         // Seed the storm from the healthy run's horizon and link count, the
         // same way the figure binaries do.
-        let healthy = simulate(&server, &w, &quick_cfg());
+        let healthy = direct(&server, &w, &FaultPlan::empty());
         let horizon = healthy.batch_done_at.last().unwrap().as_secs_f64();
         let domain = FaultDomain {
             n_ssds: server.topology().ssds.len(),
@@ -142,8 +145,8 @@ proptest! {
         };
         let plan = FaultPlan::seeded(seed, faults_per_run as f64 / horizon, &domain);
 
-        let legacy = simulate_with_faults(&server, &w, &quick_cfg(), &plan);
+        let want = direct(&server, &w, &plan);
         req.faults = Some(plan);
-        proptest::prop_assert_eq!(des_result(&req), legacy);
+        proptest::prop_assert_eq!(des_result(&req), want);
     }
 }

@@ -1,10 +1,9 @@
-//! The workload DSL against the Table-I constants it replaces: lowering a
-//! legacy preset through the stage-graph DSL must be *undetectable* — the
-//! analytic model and the DES answer byte-identically whether the workload
-//! carries its flat calibration or the explicit graph `lower_legacy`
-//! produces from it. Same discipline as the parallel-engine equivalence
-//! suite: the flat path is the spec, the graph path is the generalization,
-//! and equivalence is property, not hope. The second half pins the new
+//! The workload DSL against the Table-I constants it replaces: spelling a
+//! legacy preset's stage graph out must be *undetectable* — the analytic
+//! model and the DES answer byte-identically whether the workload leaves
+//! its graph implicit or carries the explicit graph `lower_legacy`
+//! produces for it, so nothing downstream branches on how a preset was
+//! written. Equivalence is property, not hope. The second half pins the new
 //! sync-pattern models (parameter server, all-to-all) to the
 //! `parallel_workers: 0 ≡ N` contract the ring already obeys.
 
@@ -22,7 +21,7 @@ const KINDS: [ServerKind; 3] =
 /// `w` with its own calibration spelled out as an explicit stage graph.
 fn lowered(w: &Workload) -> Workload {
     let mut lw = w.clone();
-    lw.stages = Some(lower_legacy(w));
+    lw.stages = Some(lower_legacy(w.input));
     lw.validate().expect("lowered presets validate");
     lw
 }

@@ -513,6 +513,14 @@ pub(crate) fn answer(ctx: &Ctx, req: &SimRequest) -> Outcome {
             (status, body, "coalesced", None)
         }
         Role::Leader => {
+            // The previous leader of this key may have stored its answer and
+            // completed between our cache miss and `begin`: serve those bytes
+            // rather than recompute an answer with different provenance.
+            if let Lookup::Hit(body) = ctx.cache.get(key, &canonical) {
+                ctx.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+                ctx.coalescer.complete(key, (200, Arc::clone(&body)));
+                return (200, body, "hit", None);
+            }
             // A panic inside the engine must not strand followers on an
             // unfinished flight (or kill the worker); surface it as a 500.
             let outcome = catch_unwind(AssertUnwindSafe(|| req.run()));

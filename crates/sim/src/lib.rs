@@ -245,24 +245,6 @@ impl<E> Scheduler<E> {
     }
 }
 
-/// Bounded ring buffer of recent event descriptions for debugging, built on
-/// the shared [`trace::Ring`]. The formatter is captured when tracing is
-/// enabled, which is where the `Debug` requirement on the event type lives.
-struct DebugTrace<E> {
-    ring: trace::Ring<(SimTime, String)>,
-    formatter: fn(&E) -> String,
-}
-
-impl<E> DebugTrace<E> {
-    fn record(&mut self, at: SimTime, event: &E) {
-        self.ring.push((at, (self.formatter)(event)));
-    }
-
-    fn entries(&self) -> Vec<(SimTime, String)> {
-        self.ring.iter().cloned().collect()
-    }
-}
-
 /// An entry in the event queue. Ordered by `(time, seq)`: earlier time first,
 /// then FIFO among same-time events.
 struct QueueEntry<E> {
@@ -298,7 +280,6 @@ pub struct Engine<M: Model> {
     seq: u64,
     events_processed: u64,
     queue: BinaryHeap<Reverse<QueueEntry<M::Event>>>,
-    trace: Option<DebugTrace<M::Event>>,
     /// Latched when any relative schedule overflowed `SimTime::MAX`; run
     /// methods report it as [`SimError::TimeOverflow`].
     overflowed: bool,
@@ -337,7 +318,6 @@ impl<M: Model> Engine<M> {
             seq: 0,
             events_processed: 0,
             queue: BinaryHeap::new(),
-            trace: None,
             overflowed: false,
             live: FxHashSet::default(),
             next_key: 0,
@@ -345,24 +325,6 @@ impl<M: Model> Engine<M> {
             stale_dropped: 0,
             ops_scratch: Vec::new(),
         }
-    }
-
-    /// Enable event tracing with a bounded ring buffer of `capacity`
-    /// entries (the most recent events win). Requires the event type to be
-    /// `Debug`; entries record `(time, format!("{event:?}"))`.
-    pub fn enable_trace(&mut self, capacity: usize)
-    where
-        M::Event: std::fmt::Debug,
-    {
-        self.trace = Some(DebugTrace {
-            ring: trace::Ring::new(capacity),
-            formatter: |e| format!("{e:?}"),
-        });
-    }
-
-    /// The trace buffer contents, oldest first (empty when tracing is off).
-    pub fn trace(&self) -> Vec<(SimTime, String)> {
-        self.trace.as_ref().map(DebugTrace::entries).unwrap_or_default()
     }
 
     /// Current simulated time.
@@ -526,10 +488,6 @@ impl<M: Model> Engine<M> {
         debug_assert!(entry.at >= self.now, "event queue yielded past event");
         self.now = entry.at;
         self.events_processed += 1;
-        if let Some(t) = self.trace.as_mut() {
-            // Trace strings are only built here, behind the enable check.
-            t.record(entry.at, &entry.event);
-        }
         let mut sched = Scheduler {
             ops: std::mem::take(&mut self.ops_scratch),
             next_key: self.next_key,
@@ -798,24 +756,6 @@ mod tests {
         let hit = e.run_while(2, |m| m.log.len() == 100).unwrap();
         assert!(!hit);
         assert_eq!(e.model().log.len(), 6);
-    }
-
-    #[test]
-    fn trace_records_recent_events() {
-        let mut e = engine();
-        e.enable_trace(3);
-        for i in 0..6 {
-            e.schedule_at(SimTime::from_nanos(i), i as u32);
-        }
-        e.run().unwrap();
-        let trace = e.trace();
-        assert_eq!(trace.len(), 3, "ring buffer keeps the most recent");
-        assert_eq!(trace[0].1, "3");
-        assert_eq!(trace[2].1, "5");
-        assert_eq!(trace[2].0, SimTime::from_nanos(5));
-        // Disabled by default.
-        let e2 = engine();
-        assert!(e2.trace().is_empty());
     }
 
     #[test]

@@ -216,7 +216,7 @@ impl ForkTracer for NoopTracer {
 /// A bounded FIFO ring buffer: pushing past `capacity` evicts the oldest
 /// entry and counts it, so truncation is observable instead of silent.
 ///
-/// Shared by [`RingTracer`] and the engine's debug event trace.
+/// The storage behind [`RingTracer`].
 #[derive(Debug, Clone)]
 pub struct Ring<T> {
     capacity: usize,
