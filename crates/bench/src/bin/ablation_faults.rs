@@ -24,7 +24,6 @@ fn cfg() -> SimConfig {
         warmup_batches: 4,
         prefetch_batches: 1,
         max_events: 10_000_000,
-        reference_allocator: false,
         // Byte-identical at any worker count; `--sim-workers` only moves
         // wall-clock (and CI's TRAINBOX_SIM_WORKERS=2 regen re-diff relies
         // on figures honoring it).

@@ -22,7 +22,6 @@ fn cfg_for(depth: u64, chunk: u64) -> SimConfig {
         warmup_batches: 5,
         prefetch_batches: depth,
         max_events: 10_000_000,
-        reference_allocator: false,
         // Byte-identical at any worker count; `--sim-workers` only moves
         // wall-clock (and CI's TRAINBOX_SIM_WORKERS=2 regen re-diff relies
         // on figures honoring it).

@@ -33,7 +33,6 @@ fn des_samples_per_sec(w: &Workload, workers: usize) -> f64 {
         warmup_batches: 1,
         prefetch_batches: 1,
         max_events: 10_000_000,
-        reference_allocator: false,
         parallel_workers: workers,
     };
     let mut req = SimRequest::des(ServerKind::TrainBox, 8, w.clone(), cfg);

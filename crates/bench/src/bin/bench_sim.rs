@@ -5,9 +5,6 @@
 //!
 //! * the DES pipeline itself: events/sec, rate recomputations, and wall time
 //!   for a representative TrainBox simulation;
-//! * the classed fast max-min allocator against the per-flow reference
-//!   allocator on the same live workload (results are asserted bit-identical
-//!   — only the clock may differ);
 //! * a seeded fault storm, exercising batched capacity changes and lazy
 //!   event cancellation;
 //! * the parallel engines — the per-server cluster runner *and* the
@@ -58,27 +55,21 @@ const FIGURE_BINS: &[&str] = &[
     "ablation_sync",
 ];
 
-fn sim_cfg(reference_allocator: bool) -> SimConfig {
+fn sim_cfg() -> SimConfig {
     SimConfig {
         chunk_samples: 32,
         batches: 10,
         warmup_batches: 4,
         prefetch_batches: 1,
         max_events: 10_000_000,
-        reference_allocator,
         parallel_workers: 0,
     }
 }
 
 /// The fixed benchmark scenario — TrainBox, 16 accelerators, Inception-v4,
 /// batch 512 — as a canonical request.
-fn request(reference_allocator: bool, plan: Option<FaultPlan>) -> SimRequest {
-    let mut req = SimRequest::des(
-        ServerKind::TrainBox,
-        16,
-        Workload::inception_v4(),
-        sim_cfg(reference_allocator),
-    );
+fn request(plan: Option<FaultPlan>) -> SimRequest {
+    let mut req = SimRequest::des(ServerKind::TrainBox, 16, Workload::inception_v4(), sim_cfg());
     req.server.batch_size = Some(512);
     req.faults = plan;
     req
@@ -106,7 +97,6 @@ fn cluster_request(workers: usize, smoke: bool) -> SimRequest {
             warmup_batches: 1,
             prefetch_batches: 1,
             max_events: 50_000_000,
-            reference_allocator: false,
             parallel_workers: workers,
         },
     );
@@ -133,7 +123,6 @@ fn intra_server_cfg(workers: usize, smoke: bool) -> SimConfig {
         warmup_batches: 1,
         prefetch_batches: 1,
         max_events: 50_000_000,
-        reference_allocator: false,
         parallel_workers: workers,
     }
 }
@@ -156,13 +145,6 @@ struct DesBench {
     events_per_sec: f64,
     recomputes: u64,
     samples_per_sec: f64,
-}
-
-#[derive(Serialize)]
-struct AllocatorBench {
-    fast_ms: f64,
-    reference_ms: f64,
-    speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -263,7 +245,6 @@ struct BenchSim {
     smoke: bool,
     reps: usize,
     des: DesBench,
-    allocator: AllocatorBench,
     faults: FaultBench,
     parallel: ParallelBench,
     figures: Vec<FigureMs>,
@@ -378,42 +359,25 @@ fn run() {
         if smoke { "   (smoke mode: numbers not meaningful)" } else { "" }
     );
 
-    let server = request(false, None)
+    let server = request(None)
         .build_server()
         .unwrap_or_else(|e| panic!("invalid server configuration: {e}"));
 
     // --- DES pipeline --------------------------------------------------
-    let (fast_ms, fast) = best_of(reps, || run_des(&request(false, None)));
+    let (des_ms, healthy) = best_of(reps, || run_des(&request(None)));
     let des = DesBench {
-        wall_ms: fast_ms,
-        events: fast.events,
-        events_per_sec: fast.events as f64 / (fast_ms / 1e3),
-        recomputes: fast.recomputes,
-        samples_per_sec: fast.samples_per_sec,
+        wall_ms: des_ms,
+        events: healthy.events,
+        events_per_sec: healthy.events as f64 / (des_ms / 1e3),
+        recomputes: healthy.recomputes,
+        samples_per_sec: healthy.samples_per_sec,
     };
     println!(
         "DES pipeline: {:.1} ms, {} events ({:.0} events/s), {} rate recomputes",
         des.wall_ms, des.events, des.events_per_sec, des.recomputes
     );
 
-    // --- fast vs reference allocator ----------------------------------
-    let (ref_ms, reference) = best_of(reps, || run_des(&request(true, None)));
-    assert_eq!(
-        fast, reference,
-        "fast and reference allocators must produce identical simulations"
-    );
-    let allocator = AllocatorBench {
-        fast_ms,
-        reference_ms: ref_ms,
-        speedup: ref_ms / fast_ms,
-    };
-    println!(
-        "allocator: fast {:.1} ms vs reference {:.1} ms (x{:.2}), results identical",
-        allocator.fast_ms, allocator.reference_ms, allocator.speedup
-    );
-
     // --- seeded fault storm --------------------------------------------
-    let healthy = &fast;
     let horizon = healthy.batch_done_at.last().expect("batches ran").as_secs_f64();
     let domain = FaultDomain {
         n_ssds: server.topology().ssds.len(),
@@ -423,7 +387,7 @@ fn run() {
         horizon_secs: horizon,
     };
     let plan = FaultPlan::seeded(0x5eed_0b5e, 16.0 / horizon, &domain);
-    let storm = request(false, Some(plan));
+    let storm = request(Some(plan));
     let (fault_ms, faulted) = best_of(reps, || run_des(&storm));
     let faults = FaultBench {
         wall_ms: fault_ms,
@@ -549,11 +513,10 @@ fn run() {
     }
 
     let results = BenchSim {
-        schema: "trainbox.bench_sim.v3",
+        schema: "trainbox.bench_sim.v4",
         smoke,
         reps,
         des,
-        allocator,
         faults,
         parallel,
         figures,

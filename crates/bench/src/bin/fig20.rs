@@ -1,32 +1,35 @@
 //! Figure 20 — TrainBox's effectiveness vs batch size (ResNet-50, 256
 //! accelerators), normalized to the baseline at each batch size.
 //!
-//! A thin client of the serving tier: the whole batch-size axis is asked
-//! as one `POST /sweep` per design against an in-process `trainbox-serve`,
-//! proving the sweep API answers the paper's question byte-identically to
-//! the direct-linked path it replaced.
+//! Each point is one analytic [`SimRequest`] with a batch-size override —
+//! the same question a `POST /sweep` over the `batch_size` axis asks.
 
-use trainbox_bench::{analytic_samples_per_sec, compare, emit_json, figure_main, SweepClient};
+use trainbox_bench::{compare, emit_json, figure_main};
+use trainbox_core::arch::ServerKind;
+use trainbox_core::request::SimRequest;
+use trainbox_nn::Workload;
 
 const BATCHES: [u64; 6] = [8, 32, 128, 512, 2048, 8192];
 
-/// The full batch axis for one design, answered by a single sweep.
-fn samples_per_sec(client: &SweepClient, kind: &str) -> Vec<f64> {
-    let body = format!(
-        r#"{{"template": {{"server": {{"kind": "{kind}", "n_accels": 256}},
-                           "workload": "Resnet-50"}},
-            "grid": {{"batch_size": {BATCHES:?}}}}}"#
-    );
-    client.sweep(&body).iter().map(analytic_samples_per_sec).collect()
+/// Analytic throughput of `kind` at 256 accelerators over the batch axis.
+fn samples_per_sec(kind: ServerKind) -> Vec<f64> {
+    BATCHES
+        .iter()
+        .map(|&batch| {
+            let mut req = SimRequest::analytic(kind, 256, Workload::resnet50());
+            req.server.batch_size = Some(batch);
+            let resp = req.run().unwrap_or_else(|e| panic!("{kind:?} at batch {batch}: {e}"));
+            resp.outcome.samples_per_sec()
+        })
+        .collect()
 }
 
 fn main() {
     // Sequential body: runs too quickly to benefit from the sweep-runner.
     figure_main("Figure 20", "TrainBox vs baseline across batch sizes (ResNet-50)", |_jobs| {
-        let client = SweepClient::start();
         println!("{:>8} {:>14} {:>14} {:>10}", "batch", "baseline", "trainbox", "speedup");
-        let base = samples_per_sec(&client, "Baseline");
-        let tb = samples_per_sec(&client, "TrainBox");
+        let base = samples_per_sec(ServerKind::Baseline);
+        let tb = samples_per_sec(ServerKind::TrainBox);
         let mut series = Vec::new();
         for (i, &batch) in BATCHES.iter().enumerate() {
             println!("{batch:>8} {:>14.0} {:>14.0} {:>9.1}x", base[i], tb[i], tb[i] / base[i]);
@@ -38,6 +41,5 @@ fn main() {
             series.last().unwrap().1,
         );
         emit_json("fig20", &series);
-        client.shutdown();
     });
 }

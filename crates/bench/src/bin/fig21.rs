@@ -2,28 +2,25 @@
 //! preparation designs: Baseline (CPU), B+Acc (GPU), B+Acc (FPGA),
 //! TrainBox without prep-pool, TrainBox.
 //!
-//! A thin client of the serving tier: each design's accelerator axis is
-//! one `POST /sweep` against an in-process `trainbox-serve`, replacing the
-//! direct `throughput_of` calls with the HTTP question they are equal to.
+//! Each point is one analytic [`SimRequest`] — the same question a
+//! `POST /sweep` over the `n_accels` axis asks.
 
-use trainbox_bench::{
-    analytic_samples_per_sec, compare, emit_json, figure_main, SweepClient, ACCEL_SWEEP,
-};
+use trainbox_bench::{compare, emit_json, figure_main, ACCEL_SWEEP};
 use trainbox_core::arch::ServerKind;
+use trainbox_core::request::SimRequest;
 use trainbox_nn::Workload;
 
-/// The accelerator-count axis for one (design, workload), via one sweep.
-fn scalability(client: &SweepClient, kind: ServerKind, w: &Workload) -> Vec<f64> {
-    let body = format!(
-        r#"{{"template": {{"server": {{"kind": "{kind:?}", "n_accels": 1}},
-                           "workload": "{}"}},
-            "grid": {{"n_accels": {ACCEL_SWEEP:?}}}}}"#,
-        w.name
-    );
-    client
-        .sweep(&body)
+/// The accelerator-count axis for one (design, workload), normalized to one
+/// accelerator's standalone throughput.
+fn scalability(kind: ServerKind, w: &Workload) -> Vec<f64> {
+    ACCEL_SWEEP
         .iter()
-        .map(|resp| analytic_samples_per_sec(resp) / w.accel_samples_per_sec)
+        .map(|&n| {
+            let resp = SimRequest::analytic(kind, n, w.clone())
+                .run()
+                .unwrap_or_else(|e| panic!("{kind:?}@{n} on {}: {e}", w.name));
+            resp.outcome.samples_per_sec() / w.accel_samples_per_sec
+        })
         .collect()
 }
 
@@ -33,7 +30,6 @@ fn main() {
         "Figure 21",
         "Scalability for Inception-v4 and TF-SR (normalized to 1 accelerator)",
         |_jobs| {
-            let client = SweepClient::start();
             let designs = [
                 ServerKind::Baseline,
                 ServerKind::AccGpu,
@@ -45,7 +41,7 @@ fn main() {
             let mut saturation = Vec::new();
             for w in [Workload::inception_v4(), Workload::transformer_sr()] {
                 let series: Vec<Vec<f64>> =
-                    designs.iter().map(|&d| scalability(&client, d, &w)).collect();
+                    designs.iter().map(|&d| scalability(d, &w)).collect();
                 println!("\n({})", w.name);
                 print!("{:<8}", "n");
                 for d in designs {
@@ -73,7 +69,6 @@ fn main() {
             compare("TF-SR baseline saturation (paper: 4.4 accelerators)", 4.4, saturation[1].0);
             compare("TF-SR TrainBox at 256 (paper: reaches ~256)", 256.0, saturation[1].1);
             emit_json("fig21", &dump);
-            client.shutdown();
         },
     );
 }

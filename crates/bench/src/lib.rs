@@ -296,117 +296,6 @@ where
         .collect()
 }
 
-/// An in-process `trainbox-serve` instance plus a blocking `POST /sweep`
-/// client — the plumbing that lets a figure binary be a *thin client* of
-/// the service instead of linking the simulation crates directly. The
-/// figures double as end-to-end proof that the sweep API answers the
-/// paper's questions byte-identically.
-pub struct SweepClient {
-    addr: std::net::SocketAddr,
-    handle: Option<trainbox_serve::ServeHandle>,
-}
-
-impl Default for SweepClient {
-    fn default() -> Self {
-        Self::start()
-    }
-}
-
-impl SweepClient {
-    /// Boot a loopback service sized for sweep traffic. `--sim-workers`
-    /// carries through to the DES engine inside each point, exactly as it
-    /// does for the direct-linked figure path.
-    pub fn start() -> Self {
-        let cfg = trainbox_serve::ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            sweep_max_points: trainbox_core::request::SweepRequest::MAX_POINTS,
-            des_workers: sim_workers(),
-            ..trainbox_serve::ServeConfig::default()
-        };
-        let handle = trainbox_serve::serve(cfg).expect("bind loopback sweep service");
-        SweepClient { addr: handle.addr(), handle: Some(handle) }
-    }
-
-    /// Run one sweep and return each point's `response` document in grid
-    /// order. Panics on any transport, HTTP, or per-point error — a figure
-    /// must fail loudly, not plot partial data.
-    pub fn sweep(&self, body: &str) -> Vec<trainbox_sim::json::Value> {
-        let raw = self.post_sweep(body);
-        let (head, chunked) = raw.split_once("\r\n\r\n").expect("header/body split");
-        assert!(head.starts_with("HTTP/1.1 200"), "sweep refused: {head}\n{chunked}");
-        let mut lines: Vec<String> = dechunk_ndjson(chunked);
-        let done = lines.pop().expect("sweep stream ends with a summary line");
-        let done = trainbox_sim::json::parse(&done)
-            .unwrap_or_else(|e| panic!("bad summary line {done:?}: {e}"));
-        let errors = done.get("errors").and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
-        assert_eq!(errors, 0.0, "sweep points failed: {done:?}");
-        lines
-            .iter()
-            .map(|line| {
-                let v = trainbox_sim::json::parse(line)
-                    .unwrap_or_else(|e| panic!("bad point line {line:?}: {e}"));
-                v.get("response").cloned().expect("ok point carries a response")
-            })
-            .collect()
-    }
-
-    fn post_sweep(&self, body: &str) -> String {
-        use std::io::Read;
-        let mut stream = std::net::TcpStream::connect(self.addr).expect("connect sweep service");
-        let req = format!(
-            "POST /sweep HTTP/1.1\r\nhost: bench\r\ncontent-length: {}\r\n\
-             connection: close\r\n\r\n{body}",
-            body.len()
-        );
-        stream.write_all(req.as_bytes()).expect("send sweep");
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).expect("read sweep stream");
-        raw
-    }
-
-    /// Drain and stop the embedded service.
-    pub fn shutdown(mut self) {
-        if let Some(handle) = self.handle.take() {
-            handle.shutdown();
-        }
-    }
-}
-
-impl Drop for SweepClient {
-    fn drop(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            handle.shutdown();
-        }
-    }
-}
-
-/// Decode a chunked transfer-encoding body into NDJSON lines.
-fn dechunk_ndjson(body: &str) -> Vec<String> {
-    let mut rest = body;
-    let mut decoded = String::new();
-    loop {
-        let (size_line, tail) = rest.split_once("\r\n").expect("chunk size line");
-        let size = usize::from_str_radix(size_line.trim(), 16)
-            .unwrap_or_else(|e| panic!("bad chunk size {size_line:?}: {e}"));
-        if size == 0 {
-            break;
-        }
-        decoded.push_str(&tail[..size]);
-        rest = &tail[size + 2..];
-    }
-    decoded.lines().map(str::to_owned).collect()
-}
-
-/// Pull the analytic `samples_per_sec` out of one sweep-point response.
-pub fn analytic_samples_per_sec(response: &trainbox_sim::json::Value) -> f64 {
-    response
-        .get("outcome")
-        .and_then(|o| o.get("Analytic"))
-        .and_then(|t| t.get("samples_per_sec"))
-        .and_then(|s| s.as_f64())
-        .unwrap_or_else(|| panic!("no analytic samples_per_sec in {response:?}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

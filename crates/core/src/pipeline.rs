@@ -42,9 +42,6 @@ pub struct SimConfig {
     pub prefetch_batches: u64,
     /// Safety valve on total processed events.
     pub max_events: u64,
-    /// Use the per-flow reference max-min allocator instead of the fast
-    /// classed one (same results bit-for-bit; kept for A/B benchmarking).
-    pub reference_allocator: bool,
     /// Worker threads for the parallel DES runner (`trainbox_sim::par`).
     /// `0` or `1` selects the sequential reference; any value produces
     /// byte-identical results (the parallel path only changes which thread
@@ -69,7 +66,6 @@ impl Default for SimConfig {
             warmup_batches: 4,
             prefetch_batches: 1,
             max_events: 20_000_000,
-            reference_allocator: false,
             parallel_workers: 0,
         }
     }
@@ -78,8 +74,7 @@ impl Default for SimConfig {
 // Hand-written (not derived) to keep `parallel_workers` out of the canonical
 // form: the canonical bytes answer "what is being asked", and the worker
 // count only says how the host should compute the (identical) answer. Field
-// order matches the declaration order the previous derived impl emitted, so
-// existing canonical bytes and hashes are unchanged.
+// order is declaration order, as the derived impl this replaced emitted it.
 impl serde::Serialize for SimConfig {
     fn to_json(&self) -> serde::json::Json {
         serde::json::Json::Object(vec![
@@ -88,10 +83,6 @@ impl serde::Serialize for SimConfig {
             ("warmup_batches".to_string(), serde::Serialize::to_json(&self.warmup_batches)),
             ("prefetch_batches".to_string(), serde::Serialize::to_json(&self.prefetch_batches)),
             ("max_events".to_string(), serde::Serialize::to_json(&self.max_events)),
-            (
-                "reference_allocator".to_string(),
-                serde::Serialize::to_json(&self.reference_allocator),
-            ),
         ])
     }
 }
@@ -111,9 +102,6 @@ impl serde::Deserialize for SimConfig {
                 "warmup_batches" => cfg.warmup_batches = serde::Deserialize::from_json(val)?,
                 "prefetch_batches" => cfg.prefetch_batches = serde::Deserialize::from_json(val)?,
                 "max_events" => cfg.max_events = serde::Deserialize::from_json(val)?,
-                "reference_allocator" => {
-                    cfg.reference_allocator = serde::Deserialize::from_json(val)?
-                }
                 "parallel_workers" => {
                     cfg.parallel_workers = serde::Deserialize::from_json(val)?
                 }
@@ -544,7 +532,6 @@ impl<T: Tracer> PipelineModel<T> {
         let n_links = topo.topo.link_count();
         let traced = tracer.enabled();
         let mut flows = FlowSim::new(FlowNet::from_topology(&topo.topo));
-        flows.set_reference_allocator(cfg.reference_allocator);
         flows.set_trace(traced);
         // TrainBox-with-pool: set up the Ethernet network and the offload
         // cadence from the initializer's deficit analysis.
@@ -565,7 +552,6 @@ impl<T: Tracer> PipelineModel<T> {
                 let frac = ((demand - local) / demand).clamp(0.0, 1.0);
                 let period = (1.0 / frac).round().max(1.0) as u64;
                 let mut eth_flows = FlowSim::new(FlowNet::from_topology(&net.topo));
-                eth_flows.set_reference_allocator(cfg.reference_allocator);
                 eth_flows.set_trace(traced);
                 Some(EthPool {
                     flows: eth_flows,
@@ -1814,7 +1800,6 @@ mod tests {
             warmup_batches: 4,
             prefetch_batches: 1,
             max_events: 5_000_000,
-            reference_allocator: false,
             parallel_workers: 0,
         }
     }
@@ -2100,7 +2085,6 @@ mod tests {
             warmup_batches: 4,
             prefetch_batches: 1,
             max_events: 5_000_000,
-            reference_allocator: false,
             parallel_workers: 0,
         };
         let no_pool = ServerConfig::new(ServerKind::TrainBoxNoPool, 16).build();

@@ -669,7 +669,6 @@ mod tests {
             warmup_batches: 2,
             prefetch_batches: 1,
             max_events: 5_000_000,
-            reference_allocator: false,
             parallel_workers: workers,
         }
     }

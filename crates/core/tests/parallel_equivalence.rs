@@ -21,7 +21,6 @@ fn quick_cfg(workers: usize) -> SimConfig {
         warmup_batches: 1,
         prefetch_batches: 1,
         max_events: 5_000_000,
-        reference_allocator: false,
         parallel_workers: workers,
     }
 }

@@ -25,7 +25,6 @@ fn quick_cfg() -> SimConfig {
         warmup_batches: 2,
         prefetch_batches: 1,
         max_events: 10_000_000,
-        reference_allocator: false,
         parallel_workers: 0,
     }
 }

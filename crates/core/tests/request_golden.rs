@@ -61,8 +61,7 @@ fn wire_cases() -> Vec<(&'static str, Vec<&'static str>)> {
                 r#"{"server": {"kind": "TrainBoxNoPool", "n_accels": 16, "batch_size": 512},
                     "workload": "Inception-v4",
                     "sim": {"Des": {"chunk_samples": 128, "batches": 10, "warmup_batches": 4,
-                                    "prefetch_batches": 1, "max_events": 10000000,
-                                    "reference_allocator": false}},
+                                    "prefetch_batches": 1, "max_events": 10000000}},
                     "trace": true}"#,
             ],
         ),
@@ -72,8 +71,7 @@ fn wire_cases() -> Vec<(&'static str, Vec<&'static str>)> {
                 r#"{"server": {"kind": "Baseline", "n_accels": 16, "batch_size": 512},
                     "workload": "Inception-v4",
                     "sim": {"Des": {"chunk_samples": 128, "batches": 10, "warmup_batches": 4,
-                                    "prefetch_batches": 1, "max_events": 10000000,
-                                    "reference_allocator": false}},
+                                    "prefetch_batches": 1, "max_events": 10000000}},
                     "faults": {"events": [
                         {"at_secs": 0.25, "kind": {"SsdStall": {"ssd": 0, "secs": 0.1}}},
                         {"at_secs": 0.5, "kind": {"AccelDropout": {"acc": 3}}}]}}"#,

@@ -452,7 +452,7 @@ mod tests {
                     .map(|(&p, accs)| FlowSpec::new(s.topo.route(p, accs[0])))
             })
             .collect();
-        let rates = net.max_min_rates(&flows);
+        let rates = net.max_min_rates_ref(&flows);
         let x16 = Generation::Gen3.lanes(16).bytes_per_sec() as f64;
         for r in rates {
             assert!((r - x16).abs() < 1.0, "each in-box flow should get full x16: {r}");

@@ -409,6 +409,46 @@ pub(crate) fn error_json(e: &SimError) -> Arc<String> {
     Arc::new(serde_json::to_string(&body).expect("error serialization is infallible"))
 }
 
+/// The status and body answering a typed simulation error.
+fn sim_error_response(e: &SimError) -> (u16, Arc<String>) {
+    let status = if e.is_client_error() { 400 } else { 500 };
+    (status, error_json(e))
+}
+
+/// Why [`run_to_body`] produced no response body.
+enum RunFailure {
+    /// The request's own typed error.
+    Sim(SimError),
+    /// The engine panicked: a bug, never the client's fault.
+    Panicked,
+}
+
+impl RunFailure {
+    /// The status and body answering this failure.
+    fn response(&self) -> (u16, Arc<String>) {
+        match self {
+            RunFailure::Sim(e) => sim_error_response(e),
+            RunFailure::Panicked => (
+                500,
+                Arc::new("{\"error\":\"simulation panicked\",\"field\":\"sim\"}".to_string()),
+            ),
+        }
+    }
+}
+
+/// Run `req` and serialize its answer. A panic inside the engine is caught
+/// and returned as [`RunFailure::Panicked`], so it can neither kill the
+/// worker nor strand a coalesced flight.
+fn run_to_body(req: &SimRequest) -> Result<Arc<String>, RunFailure> {
+    match catch_unwind(AssertUnwindSafe(|| req.run())) {
+        Ok(Ok(resp)) => Ok(Arc::new(
+            serde_json::to_string(&resp).expect("response serialization is infallible"),
+        )),
+        Ok(Err(e)) => Err(RunFailure::Sim(e)),
+        Err(_) => Err(RunFailure::Panicked),
+    }
+}
+
 /// The compute pool: pops jobs, runs the simulation tier, posts the
 /// finished bytes back to the owning shard.
 fn worker_loop(ctx: &Arc<Ctx>) {
@@ -521,29 +561,13 @@ pub(crate) fn answer(ctx: &Ctx, req: &SimRequest) -> Outcome {
                 ctx.coalescer.complete(key, (200, Arc::clone(&body)));
                 return (200, body, "hit", None);
             }
-            // A panic inside the engine must not strand followers on an
-            // unfinished flight (or kill the worker); surface it as a 500.
-            let outcome = catch_unwind(AssertUnwindSafe(|| req.run()));
-            let (status, body) = match outcome {
-                Ok(Ok(resp)) => {
-                    let body = serde_json::to_string(&resp)
-                        .expect("response serialization is infallible");
-                    (200, Arc::new(body))
+            let (status, body) = match run_to_body(&req) {
+                Ok(body) => {
+                    ctx.cache.insert(key, &canonical, Arc::clone(&body));
+                    (200, body)
                 }
-                Ok(Err(e)) => {
-                    let status = if e.is_client_error() { 400 } else { 500 };
-                    (status, error_json(&e))
-                }
-                Err(_) => (
-                    500,
-                    Arc::new(
-                        "{\"error\":\"simulation panicked\",\"field\":\"sim\"}".to_string(),
-                    ),
-                ),
+                Err(fail) => fail.response(),
             };
-            if status == 200 {
-                ctx.cache.insert(key, &canonical, Arc::clone(&body));
-            }
             ctx.coalescer.complete(key, (status, Arc::clone(&body)));
             (status, body, "miss", None)
         }
@@ -580,19 +604,15 @@ fn simulate_deadlined(ctx: &Ctx, req: &SimRequest, key: u64, canonical: &str) ->
         Admission::Allow { probe } => probe,
     };
 
-    let outcome = catch_unwind(AssertUnwindSafe(|| req.run()));
-    match outcome {
-        Ok(Ok(resp)) => {
+    match run_to_body(req) {
+        Ok(body) => {
             ctx.breaker.on_success(probe);
-            let body = Arc::new(
-                serde_json::to_string(&resp).expect("response serialization is infallible"),
-            );
             // A timed run that finished in budget IS the untimed answer:
             // safe to cache under the deadline-free canonical key.
             ctx.cache.insert(key, canonical, Arc::clone(&body));
             (200, body, "miss", None)
         }
-        Ok(Err(e @ SimError::DeadlineExceeded { .. })) => {
+        Err(RunFailure::Sim(e @ SimError::DeadlineExceeded { .. })) => {
             ctx.breaker.on_failure(probe);
             ctx.metrics.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
             if degradable {
@@ -603,45 +623,30 @@ fn simulate_deadlined(ctx: &Ctx, req: &SimRequest, key: u64, canonical: &str) ->
                 (504, error_json(&e), "miss", None)
             }
         }
-        Ok(Err(e)) => {
+        Err(fail) => {
             // Typed request errors complete promptly: the tier is healthy.
-            ctx.breaker.on_success(probe);
-            let status = if e.is_client_error() { 400 } else { 500 };
-            (status, error_json(&e), "miss", None)
-        }
-        Err(_) => {
-            ctx.breaker.on_failure(probe);
-            (
-                500,
-                Arc::new("{\"error\":\"simulation panicked\",\"field\":\"sim\"}".to_string()),
-                "miss",
-                None,
-            )
+            // A panic is the tier failing.
+            match fail {
+                RunFailure::Sim(_) => ctx.breaker.on_success(probe),
+                RunFailure::Panicked => ctx.breaker.on_failure(probe),
+            }
+            let (status, body) = fail.response();
+            (status, body, "miss", None)
         }
     }
 }
 
 /// Run a request directly (no coalescing, no breaker), caching a 200.
 fn run_uncoalesced(ctx: &Ctx, req: &SimRequest, key: u64, canonical: &str) -> Outcome {
-    let outcome = catch_unwind(AssertUnwindSafe(|| req.run()));
-    match outcome {
-        Ok(Ok(resp)) => {
-            let body = Arc::new(
-                serde_json::to_string(&resp).expect("response serialization is infallible"),
-            );
+    match run_to_body(req) {
+        Ok(body) => {
             ctx.cache.insert(key, canonical, Arc::clone(&body));
             (200, body, "miss", None)
         }
-        Ok(Err(e)) => {
-            let status = if e.is_client_error() { 400 } else { 500 };
-            (status, error_json(&e), "miss", None)
+        Err(fail) => {
+            let (status, body) = fail.response();
+            (status, body, "miss", None)
         }
-        Err(_) => (
-            500,
-            Arc::new("{\"error\":\"simulation panicked\",\"field\":\"sim\"}".to_string()),
-            "miss",
-            None,
-        ),
     }
 }
 
@@ -691,8 +696,8 @@ fn degrade(ctx: &Ctx, req: &SimRequest, reason: &'static str) -> Outcome {
         }
         // The spec itself is broken (bad server config): tell the client.
         Err(e) => {
-            let status = if e.is_client_error() { 400 } else { 500 };
-            (status, error_json(&e), "none", None)
+            let (status, body) = sim_error_response(&e);
+            (status, body, "none", None)
         }
     }
 }

@@ -91,8 +91,7 @@ fn slow_des(salt: u64, deadline_ms: Option<u64>, faulted: bool) -> String {
             {deadline}
             {faults}
             "sim": {{"Des": {{"chunk_samples": 32, "batches": 100, "warmup_batches": 2,
-                            "prefetch_batches": 1, "max_events": {},
-                            "reference_allocator": false}}}}}}"#,
+                            "prefetch_batches": 1, "max_events": {}}}}}}}"#,
         400_000_000 + salt
     )
 }
@@ -104,8 +103,7 @@ fn fast_des(salt: u64, deadline_ms: u64) -> String {
             "workload": "Resnet-50",
             "deadline_ms": {deadline_ms},
             "sim": {{"Des": {{"chunk_samples": 64, "batches": 3, "warmup_batches": 1,
-                            "prefetch_batches": 1, "max_events": {},
-                            "reference_allocator": false}}}}}}"#,
+                            "prefetch_batches": 1, "max_events": {}}}}}}}"#,
         10_000_000 + salt
     )
 }

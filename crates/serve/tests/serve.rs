@@ -220,8 +220,7 @@ fn concurrent_identical_questions_coalesce() {
         r#"{"server": {"kind": "TrainBoxNoPool", "n_accels": 16, "batch_size": 512},
             "workload": "Inception-v4",
             "sim": {"Des": {"chunk_samples": 64, "batches": 8, "warmup_batches": 2,
-                            "prefetch_batches": 1, "max_events": 10000000,
-                            "reference_allocator": false}}}"#,
+                            "prefetch_batches": 1, "max_events": 10000000}}}"#,
     );
     let threads: Vec<_> = (0..4)
         .map(|_| {
@@ -263,8 +262,7 @@ fn overload_sheds_with_429_and_retry_after() {
             r#"{{"server": {{"kind": "TrainBoxNoPool", "n_accels": 16, "batch_size": 512}},
                 "workload": "Inception-v4",
                 "sim": {{"Des": {{"chunk_samples": 32, "batches": 20, "warmup_batches": 2,
-                                "prefetch_batches": 1, "max_events": {},
-                                "reference_allocator": false}}}}}}"#,
+                                "prefetch_batches": 1, "max_events": {}}}}}}}"#,
             10_000_000 + i // distinct canonical hashes: no coalescing escape hatch
         )
     };

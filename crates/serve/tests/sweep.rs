@@ -140,6 +140,58 @@ fn sweep_streams_a_64_point_grid_in_order_and_byte_identical() {
 }
 
 #[test]
+fn sweep_reproduces_a_committed_figure_21_series() {
+    // One design × workload of Figure 21 — TrainBox on TF-SR across the
+    // accelerator axis — asked as one sweep must equal the committed figure
+    // the binary computes by calling the simulator directly.
+    let (addr, handle) = start(ServeConfig::default());
+    let w = trainbox_nn::Workload::transformer_sr();
+    let accels = [1, 2, 4, 8, 16, 32, 64, 128, 256];
+    let body = format!(
+        r#"{{"template": {{"server": {{"kind": "TrainBox", "n_accels": 1}},
+                           "workload": "{}"}},
+            "grid": {{"n_accels": {accels:?}}}}}"#,
+        w.name
+    );
+    let (status, _, raw) = http(addr, "POST", "/sweep", &body);
+    assert_eq!(status, 200, "{raw}");
+    let lines = dechunk(&raw);
+    assert_eq!(lines.len(), accels.len() + 1, "points + 1 summary line");
+    let served: Vec<f64> = lines[..accels.len()]
+        .iter()
+        .map(|line| {
+            json(line)
+                .get("response")
+                .and_then(|r| r.get("outcome"))
+                .and_then(|o| o.get("Analytic"))
+                .and_then(|t| t.get("samples_per_sec"))
+                .and_then(|s| s.as_f64())
+                .unwrap_or_else(|| panic!("no analytic samples_per_sec in {line}"))
+                / w.accel_samples_per_sec
+        })
+        .collect();
+
+    let fig21 = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/fig21.json"
+    ))
+    .expect("committed fig21.json");
+    let committed: Vec<f64> = json(&fig21)
+        .as_array()
+        .expect("fig21 rows")
+        .iter()
+        .filter(|r| {
+            r.idx(0).and_then(|n| n.as_str()) == Some(w.name.as_str())
+                && r.idx(1).and_then(|l| l.as_str()) == Some("TrainBox")
+        })
+        .map(|r| r.idx(3).and_then(|v| v.as_f64()).expect("normalized throughput"))
+        .collect();
+    assert_eq!(served, committed, "served TF-SR TrainBox series != committed fig21.json");
+
+    handle.shutdown();
+}
+
+#[test]
 fn sweep_workload_axis_matches_individual_simulate() {
     let (addr, handle) = start(ServeConfig::default());
     let names = ["Resnet-50", "LLM-7B", "DLRM"];
@@ -249,8 +301,7 @@ fn sweep_concurrency_cap_sheds_with_429() {
                             "workload": "Inception-v4",
                             "sim": {"Des": {"chunk_samples": 32, "batches": 20,
                                             "warmup_batches": 2, "prefetch_batches": 1,
-                                            "max_events": 10000000,
-                                            "reference_allocator": false}}}"#;
+                                            "max_events": 10000000}}}"#;
     let body = format!("{{\"template\": {slow_template}}}");
     let mut first = TcpStream::connect(addr).expect("connect");
     let req = format!(

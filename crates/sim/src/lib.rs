@@ -79,7 +79,7 @@ use std::time::Instant;
 
 /// Why a simulation run could not complete normally.
 ///
-/// Returned by [`Engine::run`] / [`Engine::run_until`] / [`Engine::run_while`]
+/// Returned by [`Engine::run`] / [`Engine::run_while_deadline`]
 /// so that adversarial configurations (fault storms, enormous service times)
 /// surface as typed errors rather than aborting the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -533,72 +533,17 @@ impl<M: Model> Engine<M> {
         Ok(())
     }
 
-    /// Run until the queue is empty or the clock passes `deadline`.
+    /// Run until `predicate(model)` becomes true after handling some event,
+    /// the queue empties, or `max_events` are processed — optionally under a
+    /// wall-clock deadline. Returns `true` if the predicate fired.
     ///
-    /// Events at exactly `deadline` are processed; the first event strictly
-    /// after `deadline` is left queued and the clock is advanced to
-    /// `deadline`. Returns the number of events processed by this call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::TimeOverflow`] on scheduling overflow; see
-    /// [`Engine::run`].
-    pub fn run_until(&mut self, deadline: SimTime) -> Result<u64, SimError> {
-        let start = self.events_processed;
-        loop {
-            self.check_overflow()?;
-            self.purge_stale_front();
-            match self.queue.peek() {
-                None => break,
-                Some(Reverse(entry)) if entry.at > deadline => {
-                    self.now = deadline.max(self.now);
-                    break;
-                }
-                Some(_) => {
-                    self.step();
-                }
-            }
-        }
-        if self.queue.is_empty() && self.now < deadline {
-            self.now = deadline;
-        }
-        Ok(self.events_processed - start)
-    }
-
-    /// Run until `predicate(model)` becomes true after handling some event, the
-    /// queue empties, or `max_events` are processed. Returns `true` if the
-    /// predicate fired.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::TimeOverflow`] on scheduling overflow; see
-    /// [`Engine::run`].
-    pub fn run_while(
-        &mut self,
-        max_events: u64,
-        mut predicate: impl FnMut(&M) -> bool,
-    ) -> Result<bool, SimError> {
-        for _ in 0..max_events {
-            let stepped = self.step();
-            self.check_overflow()?;
-            if !stepped {
-                return Ok(false);
-            }
-            if predicate(&self.model) {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// [`Engine::run_while`] under an optional wall-clock deadline.
-    ///
-    /// With `deadline: None` this *is* `run_while` — same code path, same
-    /// event order, same results. With a deadline, the clock is consulted
-    /// once every [`Self::DEADLINE_CHECK_INTERVAL`] events (amortizing the
-    /// `Instant::now` syscall to noise) and the run is cancelled
-    /// cooperatively once it expires. The model keeps whatever state it had
-    /// reached, so callers can report partial statistics.
+    /// Events run in blocks of [`Self::DEADLINE_CHECK_INTERVAL`]. With a
+    /// deadline, the clock is read before the first block and between blocks
+    /// (amortizing the `Instant::now` call to noise) and the run is cancelled
+    /// cooperatively once it expires; the model keeps whatever state it had
+    /// reached, so callers can report partial statistics. With `deadline:
+    /// None` the clock is never read, and the event order is the same either
+    /// way.
     ///
     /// # Errors
     ///
@@ -611,35 +556,30 @@ impl<M: Model> Engine<M> {
         deadline: Option<Instant>,
         mut predicate: impl FnMut(&M) -> bool,
     ) -> Result<bool, SimError> {
-        let Some(deadline) = deadline else {
-            return self.run_while(max_events, predicate);
-        };
-        let deadline_err = |e: &Self| SimError::DeadlineExceeded {
-            events: e.events_processed(),
-            queued: e.queued(),
-        };
-        if Instant::now() >= deadline {
-            return Err(deadline_err(self));
-        }
-        let mut until_check = Self::DEADLINE_CHECK_INTERVAL;
-        for _ in 0..max_events {
-            let stepped = self.step();
-            self.check_overflow()?;
-            if !stepped {
+        let mut left = max_events;
+        loop {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(SimError::DeadlineExceeded {
+                    events: self.events_processed(),
+                    queued: self.queued(),
+                });
+            }
+            if left == 0 {
                 return Ok(false);
             }
-            if predicate(&self.model) {
-                return Ok(true);
-            }
-            until_check -= 1;
-            if until_check == 0 {
-                until_check = Self::DEADLINE_CHECK_INTERVAL;
-                if Instant::now() >= deadline {
-                    return Err(deadline_err(self));
+            let block = left.min(Self::DEADLINE_CHECK_INTERVAL);
+            for _ in 0..block {
+                let stepped = self.step();
+                self.check_overflow()?;
+                if !stepped {
+                    return Ok(false);
+                }
+                if predicate(&self.model) {
+                    return Ok(true);
                 }
             }
+            left -= block;
         }
-        Ok(false)
     }
 
     /// Events between wall-clock deadline checks in
@@ -724,36 +664,15 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_deadline() {
-        let mut e = engine();
-        for i in 0..10 {
-            e.schedule_at(SimTime::from_nanos(i * 10), i as u32);
-        }
-        let n = e.run_until(SimTime::from_nanos(45)).unwrap();
-        assert_eq!(n, 5); // events at 0,10,20,30,40
-        assert_eq!(e.now(), SimTime::from_nanos(45));
-        assert_eq!(e.queued(), 5);
-        e.run().unwrap();
-        assert_eq!(e.model().log.len(), 10);
-    }
-
-    #[test]
-    fn run_until_advances_clock_when_queue_empty() {
-        let mut e = engine();
-        e.run_until(SimTime::from_micros(7)).unwrap();
-        assert_eq!(e.now(), SimTime::from_micros(7));
-    }
-
-    #[test]
     fn run_while_predicate() {
         let mut e = engine();
         for i in 0..10 {
             e.schedule_at(SimTime::from_nanos(i), i as u32);
         }
-        let hit = e.run_while(u64::MAX, |m| m.log.len() == 4).unwrap();
+        let hit = e.run_while_deadline(u64::MAX, None, |m| m.log.len() == 4).unwrap();
         assert!(hit);
         assert_eq!(e.model().log.len(), 4);
-        let hit = e.run_while(2, |m| m.log.len() == 100).unwrap();
+        let hit = e.run_while_deadline(2, None, |m| m.log.len() == 100).unwrap();
         assert!(!hit);
         assert_eq!(e.model().log.len(), 6);
     }
@@ -793,22 +712,6 @@ mod tests {
         assert_eq!(e.model().log.len(), 1);
         assert!(!e.cancel(k));
         assert_eq!(e.stale_in_queue(), 0);
-    }
-
-    #[test]
-    fn run_until_skips_stale_front_without_overshooting() {
-        let mut e = engine();
-        let k = e.schedule_keyed_at(SimTime::from_nanos(10), 1);
-        e.schedule_at(SimTime::from_nanos(50), 2);
-        e.cancel(k);
-        // The stale entry at t=10 must not cause the live t=50 event to fire
-        // "instead of it" before the deadline.
-        let n = e.run_until(SimTime::from_nanos(30)).unwrap();
-        assert_eq!(n, 0);
-        assert_eq!(e.now(), SimTime::from_nanos(30));
-        assert!(e.model().log.is_empty());
-        e.run().unwrap();
-        assert_eq!(e.model().log, vec![(SimTime::from_nanos(50), 2)]);
     }
 
     #[test]
@@ -863,17 +766,11 @@ mod tests {
     }
 
     #[test]
-    fn run_until_and_run_while_report_overflow() {
+    fn run_while_deadline_reports_overflow() {
         let mut e = Engine::new(OverflowModel);
         e.schedule_at(SimTime::from_nanos(1), 0);
         assert!(matches!(
-            e.run_until(SimTime::from_secs(1)),
-            Err(SimError::TimeOverflow { .. })
-        ));
-        let mut e = Engine::new(OverflowModel);
-        e.schedule_at(SimTime::from_nanos(1), 0);
-        assert!(matches!(
-            e.run_while(u64::MAX, |_| false),
+            e.run_while_deadline(u64::MAX, None, |_| false),
             Err(SimError::TimeOverflow { .. })
         ));
     }
@@ -899,8 +796,8 @@ mod tests {
         }
         let hit = timed.run_while_deadline(u64::MAX, None, |m| m.log.len() == 7).unwrap();
         assert!(hit);
-        plain.run_while(u64::MAX, |m| m.log.len() == 7).unwrap();
-        assert_eq!(timed.model().log, plain.model().log, "None must be the untimed path");
+        while plain.model().log.len() < 7 && plain.step() {}
+        assert_eq!(timed.model().log, plain.model().log, "None must be a plain step loop");
         assert_eq!(timed.now(), plain.now());
     }
 
@@ -933,6 +830,19 @@ mod tests {
         assert!(events > 0, "some events ran before the deadline");
         assert_eq!(queued, 1, "the self-rescheduled event is still pending");
         assert_eq!(e.model().fired, events, "partial model state is preserved");
+    }
+
+    #[test]
+    fn event_budget_is_exact_across_check_blocks() {
+        let budget = 2 * Engine::<Forever>::DEADLINE_CHECK_INTERVAL + 5;
+        for deadline in [None, Some(std::time::Instant::now() + std::time::Duration::from_secs(600))]
+        {
+            let mut e = Engine::new(Forever { fired: 0 });
+            e.schedule_at(SimTime::ZERO, ());
+            assert!(!e.run_while_deadline(budget, deadline, |_| false).unwrap());
+            assert_eq!(e.model().fired, budget);
+            assert_eq!(e.events_processed(), budget);
+        }
     }
 
     #[test]

@@ -65,7 +65,6 @@ fn des_and_analytic_agree_across_designs() {
         warmup_batches: 4,
         prefetch_batches: 1,
         max_events: 5_000_000,
-        reference_allocator: false,
         parallel_workers: 0,
     };
     for (kind, n, batch, tol) in [

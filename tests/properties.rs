@@ -72,7 +72,7 @@ proptest! {
             flows.push(FlowSpec::new(topo.route(a, b)));
         }
         prop_assume!(!flows.is_empty());
-        let rates = net.max_min_rates(&flows);
+        let rates = net.max_min_rates_ref(&flows);
         // Positivity: every flow with a route makes progress.
         for r in &rates {
             prop_assert!(*r > 0.0);
